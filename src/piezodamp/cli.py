@@ -18,13 +18,13 @@ import numpy as np
 from .config import ProjectConfig, load_config
 from .errors import (BandwidthError, ConfigError, InvalidInputError,
                      NumericalError, ParseError)
-from .frf import (FRF, bode_table, find_peaks, frf_of, gain_sweep,
+from .frf import (FRF, bode_table, find_peaks, gain_sweep,
                   half_power_damping, load_frf_csv)
 from .modal import TWO_PI
 from .piezo import coupling_factor
 from .placement import PlacementProblem, optimize_placement, scan_objective
 from .ppf import (LinearSystem, PPFConfig, UNBOUNDED_GAIN, build_plant,
-                  close_loop, critical_gain, plant_system, ppf_controller)
+                  critical_gain, plant_system, ppf_controller)
 
 
 def _fmt(v) -> str:
@@ -205,7 +205,7 @@ def cmd_sweep(args) -> int:
     if not cfg.gains:
         raise ConfigError("[ppf] gains is required for the sweep command")
     model = cfg.build_model()
-    plant, psys = _plant_from_config(cfg, model)
+    plant, _ = _plant_from_config(cfg, model)
     filt = PPFConfig.from_hz(cfg.ppf_freq_hz, cfg.ppf_zeta)
     freqs = np.linspace(cfg.band_hz[0], cfg.band_hz[1], cfg.n_freq)
     target = cfg.target_mode - 1 if cfg.target_mode is not None else None
@@ -228,9 +228,7 @@ def cmd_sweep(args) -> int:
         if not row.stable:
             _say(args, f"  gain {_fmt(row.gain)}: unstable, no output written")
             continue
-        cl = close_loop(psys, ppf_controller(PPFConfig(filt.omega_f,
-                                                       filt.zeta_f, row.gain)))
-        resp = frf_of(cl, freqs)
+        resp = row.response
         mag_db, phase = bode_table(resp)
         bode_rows = [[_fmt(f), _fmt(m), _fmt(p)]
                      for f, m, p in zip(resp.freqs_hz, mag_db, phase)]

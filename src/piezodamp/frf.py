@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.signal import find_peaks as _scipy_find_peaks
 
 from . import _kernels
 from .errors import BandwidthError, InvalidInputError, ParseError
@@ -179,8 +178,66 @@ def find_peaks(frf: FRF, band_hz, min_prominence_db: float = 3.0) -> list[int]:
             "response on a shifted grid")
     mag = np.abs(frf.values)
     db = 20.0 * np.log10(np.maximum(mag, 1e-300))
-    peaks, _ = _scipy_find_peaks(db, prominence=min_prominence_db)
+    peaks = _prominent_peaks(db, min_prominence_db)
     return [int(i) for i in peaks if in_band[i]]
+
+
+def _prominent_peaks(x, min_prominence: float) -> np.ndarray:
+    """Indices of the interior local maxima of ``x`` whose prominence reaches
+    ``min_prominence``, as ``scipy.signal.find_peaks(x, prominence=...)``
+    defines them.
+
+    A flat top is reported at its middle sample (rounded down) and dropped
+    when it touches either end of the record. Each side's base is the lowest
+    sample between the peak and the nearest strictly higher sample on that
+    side, or the record end; the prominence is the peak height above the
+    higher of the two bases.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    if n < 3:
+        return np.empty(0, dtype=np.intp)
+    steps = np.flatnonzero(x[1:] != x[:-1])  # step k goes from k to k + 1
+    top = ((x[steps[:-1] + 1] > x[steps[:-1]])
+           & (x[steps[1:] + 1] < x[steps[1:]]))
+    last = steps[1:][top]
+    peaks = (steps[:-1][top] + 1 + last) // 2
+    # A nan sample ends a base search like a higher sample would.
+    y = np.where(np.isnan(x), np.inf, x)
+    # Hill tops (the right end of a flat one) plus both record ends: between
+    # two consecutive ones the record falls and then rises, so the lowest
+    # sample on either side of a peak, up to the nearest higher hill, is the
+    # lowest of the valleys passed on the way there.
+    inner = y[1:-1]
+    hills = np.flatnonzero(np.r_[True, (inner >= y[:-2]) & (inner > y[2:]),
+                                 True])
+    heights = y[hills].tolist()
+    left = _lowest_since_higher(
+        heights, [y[0]] + np.minimum.reduceat(y, hills[:-1] + 1).tolist())
+    right = _lowest_since_higher(
+        heights[::-1], np.minimum.reduceat(y, hills)[::-1].tolist())[::-1]
+    k = np.searchsorted(hills, last)
+    base = np.maximum(np.asarray(left)[k], np.asarray(right)[k])
+    return peaks[x[peaks] - base >= min_prominence]
+
+
+def _lowest_since_higher(heights: list, lows: list) -> list:
+    """For each hill, the lowest sample since the nearest strictly higher
+    hill before it (or the record start), where ``lows[k]`` is the lowest
+    sample after hill k - 1 up to hill k. One monotonic-stack pass."""
+    out = []
+    # A nan sentinel compares false with every height, so it is never popped.
+    stack_heights, stack_lows = [np.nan], [np.nan]
+    for h, low in zip(heights, lows):
+        while stack_heights[-1] <= h:
+            stack_heights.pop()
+            popped = stack_lows.pop()
+            if popped < low:
+                low = popped
+        out.append(low)
+        stack_heights.append(h)
+        stack_lows.append(low)
+    return out
 
 
 @dataclass
@@ -270,11 +327,13 @@ def default_frequency_grid(center_hz: float,
 
 @dataclass
 class SweepRow:
-    """One gain of a sweep; the estimate is None for unstable loops."""
+    """One gain of a sweep; the estimate and the closed-loop response are
+    None for unstable loops."""
 
     gain: float
     stable: bool
     estimate: DampingEstimate | None
+    response: FRF | None = None
 
 
 def gain_sweep(plant: ModalPlant, cfg: PPFConfig, gains, freqs_hz=None,
@@ -282,11 +341,11 @@ def gain_sweep(plant: ModalPlant, cfg: PPFConfig, gains, freqs_hz=None,
                min_prominence_db: float = 1.0) -> list[SweepRow]:
     """Close the loop at each gain and track the target resonance.
 
-    Stable rows carry a half-power estimate of the dominant in-band peak;
-    unstable rows are flagged and skipped. The target mode defaults to the
-    plant mode closest to the filter frequency, and the grid to 2001 points
-    over [0.8, 1.2] times that mode's frequency. The gain of ``cfg`` is
-    ignored in favour of the swept values.
+    Stable rows carry the closed-loop response and a half-power estimate of
+    its dominant in-band peak; unstable rows are flagged and skipped. The
+    target mode defaults to the plant mode closest to the filter frequency,
+    and the grid to 2001 points over [0.8, 1.2] times that mode's frequency.
+    The gain of ``cfg`` is ignored in favour of the swept values.
     """
     gain_list = [float(g) for g in gains]
     if not gain_list:
@@ -320,7 +379,7 @@ def gain_sweep(plant: ModalPlant, cfg: PPFConfig, gains, freqs_hz=None,
                 "lower the prominence threshold")
         mag = np.abs(resp.values)
         best = max(peaks, key=lambda k: mag[k])
-        rows.append(SweepRow(g, True, half_power_damping(resp, best)))
+        rows.append(SweepRow(g, True, half_power_damping(resp, best), resp))
     return rows
 
 

@@ -1,4 +1,8 @@
 import filecmp
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +166,22 @@ def test_cli_sweep_damping_increases_with_gain(gripper_ini, tmp_path):
     assert all(b > a for a, b in zip(zetas, zetas[1:]))
 
 
+def test_cli_sweep_solves_each_gain_once(gripper_ini, tmp_path, monkeypatch):
+    from piezodamp import _kernels
+    solves = []
+    solve = _kernels.frf_solve
+
+    def counting_solve(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(_kernels, "frf_solve", counting_solve)
+    out = tmp_path / "out"
+    assert _run(["sweep", "--config", str(gripper_ini), "--out-dir",
+                 str(out), "--quiet"]) == 0
+    assert len(solves) == len(list(out.glob("bode_*.csv"))) == 4
+
+
 def test_cli_deterministic_outputs(gripper_ini, gripper_frf_csv, tmp_path):
     outs = [tmp_path / "run1", tmp_path / "run2"]
     for out in outs:
@@ -241,3 +261,62 @@ def test_state_space_export_round_trip(tmp_path):
     a_rows = [list(map(float, l.split(","))) for l in lines[1:5]]
     np.testing.assert_allclose(np.array(a_rows), sys_.A, rtol=1e-8)
     assert lines[5] == "B,4,1"
+
+
+# Prints the loaded scipy modules after importing the CLI, then after running
+# every command line given as JSON in argv[1].
+_SCIPY_PROBE = """
+import json, sys
+from piezodamp import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+after_import = scipy_modules()
+for argv in json.loads(sys.argv[1]):
+    code = cli.main(argv)
+    if code != 0:
+        raise SystemExit(f"exit {code} from {argv}")
+print(json.dumps([after_import, scipy_modules()]))
+"""
+
+
+def _scipy_modules_loaded(argvs):
+    src = Path(pd.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE,
+                          json.dumps(argvs)],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def _config_runs(ini, out):
+    return [[sub, "--config", str(ini), "--out-dir", str(out), "--quiet"]
+            for sub in SUBCOMMANDS]
+
+
+def test_cli_gripper_run_loads_no_scipy(gripper_ini, gripper_frf_csv,
+                                        tmp_path):
+    out = tmp_path / "out"
+    argvs = _config_runs(gripper_ini, out) + [
+        ["analyze", "--frf", str(gripper_frf_csv), "--band", "50,90",
+         "--out-dir", str(out), "--quiet"]]
+    after_import, after_run = _scipy_modules_loaded(argvs)
+    assert after_import == []
+    assert after_run == []
+
+
+def test_cli_finite_element_run_loads_only_scipy_linalg(tmp_path):
+    ini = _minimal_ini(tmp_path, structure=(
+        "[structure]\nsource = finite_element\nlength_m = 1.0\n"
+        "EI_Nm2 = 1.0\nmass_per_length_kgpm = 1.0\nn_modes = 2\n"
+        "n_elements = 16\n"))
+    after_import, after_run = _scipy_modules_loaded(
+        _config_runs(ini, tmp_path / "out"))
+    assert after_import == []
+    assert "scipy.linalg" in after_run
+    assert not [m for m in after_run
+                if m.startswith(("scipy.signal", "scipy.optimize"))]

@@ -1,8 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import find_peaks as scipy_find_peaks
 
 import piezodamp as pd
 from piezodamp.errors import BandwidthError, InvalidInputError, ParseError
+from piezodamp.frf import _prominent_peaks
 
 
 def _sdof(f_hz=75.0, zeta=0.01, b=1.0):
@@ -144,6 +150,27 @@ def test_find_peaks_prominence_filter():
     assert peaks == [300]
 
 
+# Records for the peak oracle: few distinct integers (ties and plateaus,
+# including flat tops at either end), integer random walks (nested hills),
+# noisy floats, inf and nan as a flagged sample may hold, and the lengths
+# 0-3 that hold no interior maximum.
+_RECORDS = st.one_of(
+    st.lists(st.integers(-3, 3), max_size=40),
+    st.lists(st.integers(-2, 2), max_size=60).map(np.cumsum),
+    st.lists(st.floats(-1e3, 1e3, allow_nan=False), max_size=40),
+    st.lists(st.sampled_from([0.0, 1.0, 2.0, np.inf, np.nan]), max_size=30),
+    st.lists(st.integers(-3, 3), max_size=3),
+).map(lambda v: np.asarray(v, dtype=float))
+
+
+@pytest.mark.parametrize("prominence", [0.0, 0.5, 3.0])
+@settings(max_examples=400, deadline=None)
+@given(x=_RECORDS)
+def test_prominent_peaks_match_scipy(prominence, x):
+    expected = scipy_find_peaks(x, prominence=prominence)[0]
+    np.testing.assert_array_equal(_prominent_peaks(x, prominence), expected)
+
+
 def test_find_peaks_validation():
     frf = pd.frf_of(pd.plant_system(_sdof(50.0)), np.linspace(40.0, 60.0, 201))
     with pytest.raises(InvalidInputError, match="empty"):
@@ -228,10 +255,19 @@ def test_gain_sweep_flags_unstable_rows():
     plant = _sdof(75.0, 0.01)
     cfg = pd.PPFConfig(2.0 * np.pi * 76.7, 0.3)
     gcrit = pd.critical_gain(plant, cfg)
-    rows = pd.gain_sweep(plant, cfg, [0.02 * gcrit, 1.5 * gcrit])
+    freqs = np.linspace(60.0, 90.0, 801)
+    rows = pd.gain_sweep(plant, cfg, [0.02 * gcrit, 1.5 * gcrit],
+                         freqs_hz=freqs)
     assert rows[0].stable and rows[0].estimate is not None
     assert not rows[1].stable and rows[1].estimate is None
+    assert rows[1].response is None
     assert rows[0].estimate.zeta > 0.01
+    # Stable rows keep the closed-loop response the estimate was read from.
+    cl = pd.close_loop(pd.plant_system(plant),
+                       pd.ppf_controller(replace(cfg, gain=rows[0].gain)))
+    np.testing.assert_array_equal(rows[0].response.values,
+                                  pd.frf_of(cl, freqs).values)
+    np.testing.assert_array_equal(rows[0].response.freqs_hz, freqs)
 
 
 def test_gain_sweep_validation():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.optimize import brentq
 
 import piezodamp as pd
 from piezodamp.errors import InvalidInputError, ParseError
@@ -15,6 +16,16 @@ FIRST_FREQ_UNIT_BEAM = 0.5595912099683767
 def test_cantilever_roots_match_known_values():
     for i, ref in enumerate(KNOWN_ROOTS[:4], start=1):
         assert pd.cantilever_root(i) == pytest.approx(ref, rel=1e-12)
+
+
+def test_cantilever_roots_match_brentq():
+    def residual(x):
+        return np.cos(x) + 1.0 / np.cosh(x)
+
+    for i in range(1, 61):
+        ref = brentq(residual, max((i - 1) * np.pi, 1e-6), i * np.pi,
+                     xtol=1e-15, rtol=8.9e-16)
+        assert pd.cantilever_root(i) == pytest.approx(ref, rel=1e-14, abs=0)
 
 
 def test_root_index_is_one_based():
@@ -105,6 +116,15 @@ def test_fe_matches_analytic(unit_beam, unit_model):
         assert mf.phi[0] == 0.0
         assert mf.theta[0] == 0.0
         assert mf.theta[-1] >= 0.0
+
+
+def test_fe_fine_mesh_matches_analytic(unit_beam):
+    # At 800 elements the mesh error of these 20 modes is far below 1e-5, so
+    # this measures the eigensolver's accuracy on the lowest modes.
+    fe = pd.fe_beam_modes(unit_beam, 800, 20)
+    analytic = pd.analytic_cantilever_modes(unit_beam, 20)
+    for ma, mf in zip(analytic.modes, fe.modes):
+        assert mf.omega == pytest.approx(ma.omega, rel=1e-5)
 
 
 def test_fe_mass_orthonormality(unit_beam):
