@@ -328,7 +328,12 @@ def default_frequency_grid(center_hz: float,
 @dataclass
 class SweepRow:
     """One gain of a sweep; the estimate and the closed-loop response are
-    None for unstable loops."""
+    None for unstable loops.
+
+    A stable row keeps its whole closed-loop ``FRF`` (values and flags on the
+    sweep grid) for as long as the row lives, so a sweep's rows hold about
+    gains x grid points complex values.
+    """
 
     gain: float
     stable: bool
@@ -345,7 +350,9 @@ def gain_sweep(plant: ModalPlant, cfg: PPFConfig, gains, freqs_hz=None,
     its dominant in-band peak; unstable rows are flagged and skipped. The
     target mode defaults to the plant mode closest to the filter frequency,
     and the grid to 2001 points over [0.8, 1.2] times that mode's frequency.
-    The gain of ``cfg`` is ignored in favour of the swept values.
+    The gain of ``cfg`` is ignored in favour of the swept values. Every
+    stable row's response is kept on ``SweepRow.response``, so memory grows
+    with the number of gains times the grid length.
     """
     gain_list = [float(g) for g in gains]
     if not gain_list:

@@ -298,12 +298,16 @@ def _config_runs(ini, out):
             for sub in SUBCOMMANDS]
 
 
-def test_cli_gripper_run_loads_no_scipy(gripper_ini, gripper_frf_csv,
-                                        tmp_path):
+def test_cli_measured_and_analytic_runs_load_no_scipy(gripper_ini,
+                                                      gripper_frf_csv,
+                                                      tmp_path):
+    # Analytic modes come from the closed-form cantilever roots, which are
+    # solved with numpy, not scipy.optimize.
     out = tmp_path / "out"
-    argvs = _config_runs(gripper_ini, out) + [
-        ["analyze", "--frf", str(gripper_frf_csv), "--band", "50,90",
-         "--out-dir", str(out), "--quiet"]]
+    argvs = (_config_runs(gripper_ini, out)
+             + [["analyze", "--frf", str(gripper_frf_csv), "--band", "50,90",
+                 "--out-dir", str(out), "--quiet"]]
+             + _config_runs(_minimal_ini(tmp_path), tmp_path / "analytic"))
     after_import, after_run = _scipy_modules_loaded(argvs)
     assert after_import == []
     assert after_run == []

@@ -121,10 +121,18 @@ def test_fe_matches_analytic(unit_beam, unit_model):
 def test_fe_fine_mesh_matches_analytic(unit_beam):
     # At 800 elements the mesh error of these 20 modes is far below 1e-5, so
     # this measures the eigensolver's accuracy on the lowest modes.
-    fe = pd.fe_beam_modes(unit_beam, 800, 20)
+    n_el = 800
+    fe = pd.fe_beam_modes(unit_beam, n_el, 20)
     analytic = pd.analytic_cantilever_modes(unit_beam, 20)
     for ma, mf in zip(analytic.modes, fe.modes):
         assert mf.omega == pytest.approx(ma.omega, rel=1e-5)
+    # The stored modal mass of 1 kg holds at this mesh too.
+    _, M = pd.assemble_beam_matrices(unit_beam, n_el)
+    V = np.empty((2 * n_el, 20))
+    for i, m in enumerate(fe.modes):
+        V[0::2, i] = m.phi[1:]
+        V[1::2, i] = m.theta[1:]
+    np.testing.assert_allclose(V.T @ M[2:, 2:] @ V, np.eye(20), atol=1e-8)
 
 
 def test_fe_mass_orthonormality(unit_beam):
