@@ -38,6 +38,18 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             fh.write(",".join(row) + "\n")
 
 
+def _write_columns(path: Path, header: list[str], columns,
+                   preamble: str = "") -> None:
+    """Write float columns side by side, each value formatted as ``_fmt``
+    formats it, with one ``%`` format per row."""
+    row = ",".join(["%.9g"] * len(columns)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(preamble + ",".join(header) + "\n")
+        fh.writelines(row % r for r in
+                      zip(*(np.asarray(c, dtype=float).tolist()
+                            for c in columns)))
+
+
 def write_state_space_csv(sys_: LinearSystem, path: Path) -> None:
     """Write A, B, C, D as labelled blocks: 'name,rows,cols' then the rows."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -85,13 +97,9 @@ def cmd_modes(args) -> int:
                rows)
     header = (["x_m"] + [f"phi{m.index}" for m in model.modes]
               + [f"theta{m.index}" for m in model.modes])
-    shape_rows = []
-    for k, x in enumerate(model.grid):
-        row = [_fmt(x)]
-        row += [_fmt(m.phi[k]) for m in model.modes]
-        row += [_fmt(m.theta[k]) for m in model.modes]
-        shape_rows.append(row)
-    _write_csv(out / "shapes.csv", header, shape_rows)
+    _write_columns(out / "shapes.csv", header,
+                   [model.grid] + [m.phi for m in model.modes]
+                   + [m.theta for m in model.modes])
     _say(args, f"{model.source} model, {model.n_modes} modes on "
                f"{model.grid.size} points over {_fmt(model.length)} m")
     for m in model.modes:
@@ -136,12 +144,8 @@ def cmd_place(args) -> int:
                                cfg.placement_step, cfg.n_patches, cfg.min_gap)
     scan = scan_objective(problem)
     k2_cols = [f"K2_mode{m.index}" for m in model.modes]
-    scan_rows = []
-    for i, x in enumerate(scan.x_starts):
-        scan_rows.append([_fmt(x), _fmt(scan.objective[i])]
-                         + [_fmt(v) for v in scan.k2[i]])
-    _write_csv(out / "scan.csv", ["x_start_m", "objective"] + k2_cols,
-               scan_rows)
+    _write_columns(out / "scan.csv", ["x_start_m", "objective"] + k2_cols,
+                   [scan.x_starts, scan.objective] + list(scan.k2.T))
     result = optimize_placement(problem)
     placed_rows = []
     for pos, couplings in zip(result.positions, result.couplings):
@@ -230,14 +234,10 @@ def cmd_sweep(args) -> int:
             continue
         resp = row.response
         mag_db, phase = bode_table(resp)
-        bode_rows = [[_fmt(f), _fmt(m), _fmt(p)]
-                     for f, m, p in zip(resp.freqs_hz, mag_db, phase)]
-        bode_path = out / f"bode_{k + 1:02d}.csv"
-        with open(bode_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"# gain = {_fmt(row.gain)}\n")
-            fh.write("freq_hz,mag_db,phase_deg\n")
-            for r in bode_rows:
-                fh.write(",".join(r) + "\n")
+        _write_columns(out / f"bode_{k + 1:02d}.csv",
+                       ["freq_hz", "mag_db", "phase_deg"],
+                       [resp.freqs_hz, mag_db, phase],
+                       preamble=f"# gain = {_fmt(row.gain)}\n")
         e = row.estimate
         _say(args, f"  gain {_fmt(row.gain)}: peak {_fmt(e.f_peak)} Hz, "
                    f"Q {_fmt(e.q_factor)}, damping {_fmt(e.damping_pct)} %")

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import BandwidthError, InvalidInputError, ParseError
-from .modal import TWO_PI
+from .modal import TWO_PI, _read_csv
 from .ppf import (LinearSystem, ModalPlant, PPFConfig, close_loop,
                   plant_system, ppf_controller, stability)
 
@@ -89,56 +89,21 @@ def load_frf_csv(path) -> FRF:
     """Read a measured FRF from CSV.
 
     The header selects the format: ``freq_hz,real,imag`` or
-    ``freq_hz,mag,phase_deg``. ``#`` starts a comment. Errors name the
-    offending row.
+    ``freq_hz,mag,phase_deg``. Blank and ``#`` lines are skipped. Errors
+    name the offending line.
     """
-    header = None
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = [t.strip() for t in line.split(",")]
-            if header is None:
-                header = fields
-                continue
-            rows.append((line_no, fields))
-    if header is None:
-        raise ParseError(f"{path}: no header line found")
-    if header == ["freq_hz", "real", "imag"]:
-        polar = False
-    elif header == ["freq_hz", "mag", "phase_deg"]:
-        polar = True
-    else:
-        raise ParseError(
-            f"{path}: header must be 'freq_hz,real,imag' or "
-            f"'freq_hz,mag,phase_deg', got {','.join(header)!r}")
-    if len(rows) < 2:
-        raise ParseError(f"{path}: needs at least 2 data rows, found {len(rows)}")
-    freqs = np.empty(len(rows))
-    vals = np.empty(len(rows), dtype=complex)
-    for r, (line_no, fields) in enumerate(rows):
-        if len(fields) != 3:
+    def check_header(header):
+        if header not in (["freq_hz", "real", "imag"], ["freq_hz", "mag", "phase_deg"]):
             raise ParseError(
-                f"line {line_no}: expected 3 fields, found {len(fields)}")
-        nums = []
-        for c in range(3):
-            try:
-                v = float(fields[c])
-            except ValueError:
-                raise ParseError(
-                    f"line {line_no}, column {header[c]!r}: cannot parse "
-                    f"{fields[c]!r} as a number") from None
-            if not np.isfinite(v):
-                raise ParseError(
-                    f"line {line_no}, column {header[c]!r}: non-finite value")
-            nums.append(v)
-        freqs[r] = nums[0]
-        if polar:
-            vals[r] = nums[1] * np.exp(1j * np.radians(nums[2]))
-        else:
-            vals[r] = complex(nums[1], nums[2])
+                f"{path}: header must be 'freq_hz,real,imag' or "
+                f"'freq_hz,mag,phase_deg', got {','.join(header)!r}")
+
+    header, data = _read_csv(path, check_header, min_rows=2)
+    freqs = data[:, 0].copy()
+    if header[1] == "mag":
+        vals = data[:, 1] * np.exp(1j * np.radians(data[:, 2]))
+    else:  # (real, imag) pairs are the memory layout of complex128
+        vals = data[:, 1:].copy().view(complex)[:, 0]
     if freqs[0] <= 0.0 or np.any(np.diff(freqs) <= 0.0):
         raise ParseError(
             f"{path}: freq_hz must be positive and strictly increasing")

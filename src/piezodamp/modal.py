@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -304,17 +305,72 @@ def fe_beam_modes(props: BeamProperties, n_elements: int,
     return ModalModel(x, modes, SOURCE_FE, NORM_MASS)
 
 
-def _parse_float(token: str, line_no: int, column: str) -> float:
+def _read_csv(path, check_header, min_rows: int):
+    """Header fields and (rows, fields) float data of a UTF-8 CSV table.
+
+    Blank and ``#`` lines are skipped; the first other line is the header
+    and each later one holds one finite number per header field. One
+    ``np.loadtxt`` pass parses the rows; only if it fails is the file walked
+    again to name the first bad line, its column and token. Errors from
+    ``check_header`` come first, then the row count, then the bad line.
+    """
     try:
-        v = float(token)
-    except ValueError:
-        raise ParseError(
-            f"line {line_no}, column {column!r}: cannot parse {token.strip()!r} "
-            "as a number") from None
-    if not np.isfinite(v):
-        raise ParseError(
-            f"line {line_no}, column {column!r}: non-finite value {token.strip()!r}")
-    return v
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = _content_lines(fh)
+            first = next(lines, None)
+            if first is None:
+                raise ParseError(f"{path}: no header line found")
+            header = [t.strip() for t in first[1].split(",")]
+            check_header(header)
+            try:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    data = np.loadtxt((line for _, line in lines),
+                                      delimiter=",", comments=None, ndmin=2)
+            except ValueError:  # a decoding error too; the walk meets it again
+                data = np.empty((0, 0))
+            n_rows, error = len(data), None
+            if data.shape[1] != len(header) or not np.all(np.isfinite(data)):
+                fh.seek(0)
+                lines = _content_lines(fh)
+                next(lines)
+                for n_rows, (line_no, line) in enumerate(lines, start=1):
+                    error = error or _row_error(line_no, line, header)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: cannot decode byte "
+                         f"0x{exc.object[exc.start]:02x}") from None
+    if n_rows < min_rows:
+        raise ParseError(f"{path}: needs at least {min_rows} data rows, found {n_rows}")
+    if error is not None:
+        raise error
+    return header, data
+
+
+def _content_lines(fh):
+    """(line number, stripped text) of each non-blank, non-comment line."""
+    for line_no, raw in enumerate(fh, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield line_no, line
+
+
+def _row_error(line_no: int, line: str, header: list[str]):
+    """The ParseError of one data line, or None if the line is valid."""
+    fields = [t.strip() for t in line.split(",")]
+    if len(fields) != len(header):
+        return ParseError(f"line {line_no}: expected {len(header)} fields, "
+                          f"found {len(fields)}")
+    for token, column in zip(fields, header):
+        where = f"line {line_no}, column {column!r}"
+        try:
+            # float() also takes "1_0" and non-ASCII digits, which np.loadtxt rejects.
+            if "_" in token or not token.isascii():
+                raise ValueError
+            if not math.isfinite(float(token)):
+                return ParseError(f"{where}: non-finite value {token!r}")
+        except ValueError:
+            return ParseError(f"{where}: cannot parse {token!r} as a number")
+    return None
 
 
 def load_measured_modes(path, frequencies_hz, damping=None,
@@ -322,11 +378,11 @@ def load_measured_modes(path, frequencies_hz, damping=None,
     """Read mode shapes measured along a line from a CSV file.
 
     The file holds a header ``x_m,mode1,mode2,...`` followed by at least 8
-    rows; ``#`` starts a comment. One natural frequency (Hz) per shape column
-    must be supplied, with optional per-mode damping ratios (default 0.005).
-    Shapes are scaled to unit peak and modal mass is pinned to 1, so coupling
-    factors computed from this model are comparative only. ``smooth`` applies
-    a 3-point moving average before normalization.
+    rows; blank and ``#`` lines are skipped. One natural frequency (Hz) per
+    shape column must be supplied, with optional per-mode damping ratios
+    (default 0.005). Shapes are scaled to unit peak and modal mass is pinned
+    to 1, so coupling factors computed from this model are comparative only.
+    ``smooth`` applies a 3-point moving average before normalization.
     """
     freqs = [float(f) for f in np.atleast_1d(frequencies_hz)]
     if any(f <= 0.0 for f in freqs):
@@ -339,40 +395,18 @@ def load_measured_modes(path, frequencies_hz, damping=None,
             raise InvalidInputError(
                 f"{len(zetas)} damping ratios given for {len(freqs)} frequencies")
 
-    header = None
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = [t.strip() for t in line.split(",")]
-            if header is None:
-                header = fields
-                continue
-            rows.append((line_no, fields))
-
-    if header is None:
-        raise ParseError(f"{path}: no header line found")
-    if len(header) < 2 or header[0] != "x_m":
-        raise ParseError(
-            f"{path}: header must be 'x_m,mode1,...', got {','.join(header)!r}")
-    n_cols = len(header) - 1
-    if n_cols != len(freqs):
-        raise InvalidInputError(
-            f"{path}: {n_cols} shape columns but {len(freqs)} frequencies given")
-    if len(rows) < 8:
-        raise ParseError(f"{path}: needs at least 8 data rows, found {len(rows)}")
-
-    x = np.empty(len(rows))
-    shapes = np.empty((n_cols, len(rows)))
-    for r, (line_no, fields) in enumerate(rows):
-        if len(fields) != len(header):
+    def check_header(header):
+        if len(header) < 2 or header[0] != "x_m":
             raise ParseError(
-                f"line {line_no}: expected {len(header)} fields, found {len(fields)}")
-        x[r] = _parse_float(fields[0], line_no, header[0])
-        for c in range(n_cols):
-            shapes[c, r] = _parse_float(fields[c + 1], line_no, header[c + 1])
+                f"{path}: header must be 'x_m,mode1,...', got {','.join(header)!r}")
+        if len(header) - 1 != len(freqs):
+            raise InvalidInputError(
+                f"{path}: {len(header) - 1} shape columns but {len(freqs)} "
+                "frequencies given")
+
+    header, data = _read_csv(path, check_header, min_rows=8)
+    x = data[:, 0].copy()
+    shapes = data[:, 1:].T.copy()
 
     if x[0] != 0.0:
         raise ParseError(f"{path}: first x_m value must be 0, got {x[0]:g}")
@@ -383,7 +417,7 @@ def load_measured_modes(path, frequencies_hz, damping=None,
             "violates this")
 
     if smooth:
-        log.info("applying 3-point moving average to %d measured shapes", n_cols)
+        log.info("applying 3-point moving average to %d measured shapes", len(shapes))
         inner = (shapes[:, :-2] + shapes[:, 1:-1] + shapes[:, 2:]) / 3.0
         shapes[:, 1:-1] = inner
 

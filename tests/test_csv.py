@@ -1,0 +1,167 @@
+"""The shared CSV reader behind load_frf_csv and load_measured_modes."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import piezodamp as pd
+from piezodamp.cli import main
+from piezodamp.errors import PiezodampError, ParseError
+from piezodamp.modal import _read_csv
+
+HEADERS = ["freq_hz,real,imag", "freq_hz,mag,phase_deg", "x_m,mode1,mode2",
+           " x_m , mode1", "freq_hz,bad"]
+
+
+def _check_header(header):
+    if "bad" in header:
+        raise ParseError(f"bad header {header!r}")
+
+
+def _row_walk(path, check_header, min_rows, strict):
+    """The row-by-row reader the loaders used before np.loadtxt, as the
+    reference. ``strict`` also rejects the numerals that float() takes and
+    np.loadtxt does not: digit separators and non-ASCII digits."""
+    header = None
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = [t.strip() for t in line.split(",")]
+            if header is None:
+                header = fields
+                continue
+            rows.append((line_no, fields))
+    if header is None:
+        raise ParseError(f"{path}: no header line found")
+    check_header(header)
+    if len(rows) < min_rows:
+        raise ParseError(
+            f"{path}: needs at least {min_rows} data rows, found {len(rows)}")
+    data = np.empty((len(rows), len(header)))
+    for r, (line_no, fields) in enumerate(rows):
+        if len(fields) != len(header):
+            raise ParseError(f"line {line_no}: expected {len(header)} "
+                             f"fields, found {len(fields)}")
+        for c, token in enumerate(fields):
+            try:
+                if strict and ("_" in token or not token.isascii()):
+                    raise ValueError
+                v = float(token)
+            except ValueError:
+                raise ParseError(
+                    f"line {line_no}, column {header[c]!r}: cannot parse "
+                    f"{token!r} as a number") from None
+            if not math.isfinite(v):
+                raise ParseError(
+                    f"line {line_no}, column {header[c]!r}: non-finite "
+                    f"value {token!r}")
+            data[r, c] = v
+    return header, data
+
+
+def _outcome(fn, *args):
+    try:
+        header, data = fn(*args)
+    except ParseError as exc:
+        return ("error", str(exc))
+    return ("ok", header, data.shape, data.tobytes())
+
+
+_ODD_TOKENS = st.sampled_from([
+    "nan", "-inf", "Infinity", "1e400", "", " ", "x", "1 2", "0x10", "1.",
+    ".5", "+3", "1e", "1_0", "2_500.5", "\u0661\u0662", "3 # note", "#4"])
+_NUMERALS = st.integers(0, 29).flatmap(lambda k: _ODD_TOKENS if k == 0 else (
+    st.floats(allow_nan=False, allow_infinity=False).map(repr) if k < 15
+    else st.floats(allow_nan=False, allow_infinity=False, width=32).map(
+        lambda v: f"{v:.6g}")))
+_PADS = st.sampled_from(["", " ", "  ", "\t", "\xa0", " \t "])
+_FIELDS = st.tuples(_PADS, _NUMERALS, _PADS).map("".join)
+_JUNK = st.sampled_from(["", "   ", "\t", "# comment", "  # indented comment",
+                         "#", "#1,2,3"])
+
+
+@st.composite
+def _tables(draw):
+    header = draw(st.sampled_from(HEADERS))
+    width = header.count(",") + 1
+    lines = [draw(_JUNK) for _ in range(draw(st.integers(0, 2)))]
+    lines.append(header)
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(_JUNK))
+            continue
+        n = width + draw(st.sampled_from([0] * 30 + [-1, 1]))
+        lines.append(",".join(draw(_FIELDS) for _ in range(max(n, 1))))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from(["", end]))
+    return text.encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(content=_tables(), min_rows=st.sampled_from([1, 2, 2, 8]))
+def test_reader_matches_row_walk(tmp_path_factory, content, min_rows):
+    path = tmp_path_factory.getbasetemp() / "table.csv"
+    path.write_bytes(content)
+    new = _outcome(_read_csv, path, _check_header, min_rows)
+    assert new == _outcome(_row_walk, path, _check_header, min_rows, True)
+    if new != _outcome(_row_walk, path, _check_header, min_rows, False):
+        # The one allowed difference: a numeral float() takes and np.loadtxt
+        # rejects is an error that names its line.
+        assert new[0] == "error"
+        assert new[1].startswith("line ") and "cannot parse" in new[1]
+        token = new[1].split("cannot parse ")[1][1:-len("' as a number")]
+        assert "_" in token or not token.isascii()
+
+
+_PREFIXES = st.sampled_from([b"", b"freq_hz,real,imag\n",
+                             b"# c\r\nfreq_hz,mag,phase_deg\r\n",
+                             b"x_m,mode1\n", b"x_m,mode1,mode2\n0,0,0\n"])
+_BYTES = st.one_of(
+    st.binary(max_size=200),
+    st.text(alphabet="0123456789.,-+eE#naif \t\r\n_x\xa0",
+            max_size=200).map(str.encode),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(prefix=_PREFIXES, body=_BYTES, tail=st.binary(max_size=4))
+def test_readers_raise_only_toolkit_errors(tmp_path_factory, prefix, body,
+                                           tail):
+    path = tmp_path_factory.getbasetemp() / "any.csv"
+    path.write_bytes(prefix + body + tail)
+    for load in (pd.load_frf_csv,
+                 lambda p: pd.load_measured_modes(p, [1.0]),
+                 lambda p: pd.load_measured_modes(p, [1.0, 2.0], smooth=True)):
+        try:
+            load(path)
+        except PiezodampError:
+            pass
+
+
+@pytest.mark.parametrize("prefix", ["", "5,1,1\n" * 2000])
+def test_non_utf8_bytes_are_a_parse_error(tmp_path, prefix):
+    frf = tmp_path / "bad_frf.csv"
+    frf.write_bytes(b"freq_hz,real,imag\n1,1,1\n2,1,1\n"
+                    + prefix.encode() + b"3,\xff,2\n")
+    with pytest.raises(ParseError, match=r"bad_frf\.csv.*byte 0xff"):
+        pd.load_frf_csv(frf)
+    shapes = tmp_path / "bad_shapes.csv"
+    shapes.write_bytes(b"x_m,mode1\n" + b"0,0\n" * 8 + prefix.encode()
+                       + b"\xe2\x82\n")
+    with pytest.raises(ParseError, match=r"bad_shapes\.csv.*byte 0xe2"):
+        pd.load_measured_modes(shapes, [1.0])
+
+
+def test_cli_non_utf8_record_exits_1(tmp_path, capsys):
+    frf = tmp_path / "bad.csv"
+    frf.write_bytes(b"freq_hz,real,imag\n1,\xff,2\n2,3,4\n")
+    code = main(["analyze", "--frf", str(frf), "--band", "0.5,3",
+                 "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err

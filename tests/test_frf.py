@@ -115,6 +115,9 @@ def test_load_frf_errors(tmp_path):
     f.write_text("freq_hz,real,imag\n1,nan,0\n2,1,0\n")
     with pytest.raises(ParseError, match="non-finite"):
         pd.load_frf_csv(f)
+    f.write_text("freq_hz,real,imag\n1,1_0,0\n2,1,0\n")
+    with pytest.raises(ParseError, match=r"line 2, column 'real'.*'1_0'"):
+        pd.load_frf_csv(f)
 
 
 def test_find_peaks_two_modes():
