@@ -8,7 +8,6 @@ coupling peaks, close a positive position feedback loop around the target
 mode, and read the achieved damping off the closed-loop frequency response.
 """
 
-from ._kernels import BACKEND
 from .errors import (BandwidthError, ConfigError, DegeneratePlantError,
                      InvalidInputError, InvalidMaterialError, NumericalError,
                      ParseError, PiezodampError, PlacementError)
@@ -25,14 +24,13 @@ from .ppf import (LinearSystem, ModalPlant, PPFConfig, StabilityResult,
                   build_plant, close_loop, critical_gain, plant_system,
                   ppf_controller, stability)
 from .frf import (FRF, DampingEstimate, SweepRow, bode_table,
-                  default_frequency_grid, find_peaks, frf_of, gain_sweep,
-                  half_power_damping, load_frf_csv, save_frf_csv)
+                  closed_loop_frf, default_frequency_grid, find_peaks, frf_of,
+                  gain_sweep, half_power_damping, load_frf_csv, save_frf_csv)
 from .config import ProjectConfig, load_config
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "BandwidthError", "ConfigError", "DegeneratePlantError",
     "InvalidInputError", "InvalidMaterialError", "NumericalError",
     "ParseError", "PiezodampError", "PlacementError",
@@ -46,7 +44,7 @@ __all__ = [
     "LinearSystem", "ModalPlant", "PPFConfig", "StabilityResult",
     "build_plant", "close_loop", "critical_gain", "plant_system",
     "ppf_controller", "stability",
-    "FRF", "DampingEstimate", "SweepRow", "bode_table",
+    "FRF", "DampingEstimate", "SweepRow", "bode_table", "closed_loop_frf",
     "default_frequency_grid", "find_peaks", "frf_of", "gain_sweep",
     "half_power_damping", "load_frf_csv", "save_frf_csv",
     "ProjectConfig", "load_config",

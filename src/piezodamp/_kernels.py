@@ -1,16 +1,11 @@
-"""Hot numeric kernels, compiled with numba when available.
+"""Numeric kernels in plain numpy.
 
-Two operations dominate runtime: the per-frequency linear solve behind every
-frequency response, and the slope-difference scan behind patch placement.
-Both exist in a compiled and a pure numpy variant that agree to roundoff.
-The compiled path is used when numba imports cleanly and the environment
-variable PIEZODAMP_DISABLE_NUMBA is unset (or "0"); ``BACKEND`` records the
-active choice.
+Two operations sit under the general paths: the per-frequency linear solve
+behind the frequency response of any state-space model, and the
+slope-difference scan behind patch placement.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -18,14 +13,22 @@ import numpy as np
 _SOLVE_CHUNK = 8192
 
 
-def _frf_solve_numpy(A, b, c, d, omegas):
+def frf_solve(A, b, c, d, omegas):
+    """Evaluate c (jw I - A)^-1 b + d at each angular frequency.
+
+    Returns (values, flagged); singular points come back as inf with the
+    flag set instead of raising, so a sweep can skip them.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    omegas = np.asarray(omegas, dtype=np.float64)
     n = A.shape[0]
     nf = omegas.shape[0]
     out = np.empty(nf, dtype=np.complex128)
     flagged = np.zeros(nf, dtype=np.bool_)
     eye = np.eye(n)
-    bc = b.astype(np.complex128)
-    cc = c.astype(np.complex128)
+    bc = np.asarray(b, dtype=np.complex128)
+    cc = np.asarray(c, dtype=np.complex128)
+    d = float(d)
     for lo in range(0, nf, _SOLVE_CHUNK):
         w = omegas[lo:lo + _SOLVE_CHUNK]
         M = 1j * w[:, None, None] * eye - A
@@ -53,149 +56,17 @@ def _frf_solve_numpy(A, b, c, d, omegas):
     return out, flagged
 
 
-def _delta_theta_numpy(x, theta, starts, patch_length):
-    out = np.empty((starts.size, theta.shape[0]))
-    ends = starts + patch_length
-    for j in range(theta.shape[0]):
-        out[:, j] = np.interp(ends, x, theta[j]) - np.interp(starts, x, theta[j])
-    return out
-
-
-def _numba_wanted():
-    return os.environ.get("PIEZODAMP_DISABLE_NUMBA", "0") in ("", "0")
-
-
-BACKEND = "numpy"
-_frf_solve_impl = _frf_solve_numpy
-_delta_theta_impl = _delta_theta_numpy
-
-if _numba_wanted():
-    try:
-        from numba import njit
-    except ImportError:
-        pass
-    else:
-        @njit(cache=True)
-        def _frf_solve_jit(A, b, c, d, omegas):
-            n = A.shape[0]
-            nf = omegas.shape[0]
-            out = np.empty(nf, dtype=np.complex128)
-            flagged = np.zeros(nf, dtype=np.bool_)
-            M = np.empty((n, n), dtype=np.complex128)
-            rhs = np.empty(n, dtype=np.complex128)
-            for k in range(nf):
-                jw = 1j * omegas[k]
-                for i in range(n):
-                    for j in range(n):
-                        M[i, j] = -A[i, j]
-                    M[i, i] += jw
-                    rhs[i] = b[i]
-                singular = False
-                for col in range(n - 1):
-                    piv = col
-                    best = abs(M[col, col])
-                    for r in range(col + 1, n):
-                        mag = abs(M[r, col])
-                        if mag > best:
-                            best = mag
-                            piv = r
-                    if best == 0.0:
-                        singular = True
-                        break
-                    if piv != col:
-                        for j in range(col, n):
-                            M[col, j], M[piv, j] = M[piv, j], M[col, j]
-                        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-                    for r in range(col + 1, n):
-                        f = M[r, col] / M[col, col]
-                        if f != 0.0:
-                            for j in range(col + 1, n):
-                                M[r, j] -= f * M[col, j]
-                            rhs[r] -= f * rhs[col]
-                if singular or (n > 0 and M[n - 1, n - 1] == 0.0):
-                    out[k] = np.inf
-                    flagged[k] = True
-                    continue
-                for r in range(n - 1, -1, -1):
-                    acc = rhs[r]
-                    for j in range(r + 1, n):
-                        acc -= M[r, j] * rhs[j]
-                    rhs[r] = acc / M[r, r]
-                val = complex(d, 0.0)
-                for i in range(n):
-                    val += c[i] * rhs[i]
-                if np.isfinite(val.real) and np.isfinite(val.imag):
-                    out[k] = val
-                else:
-                    out[k] = np.inf
-                    flagged[k] = True
-            return out, flagged
-
-        @njit(cache=True, inline="always")
-        def _bracket(x, q):
-            # Cell index and interpolation weight; clamped to the grid ends.
-            n = x.shape[0]
-            if q <= x[0]:
-                return 0, 0.0
-            if q >= x[n - 1]:
-                return n - 2, 1.0
-            j = np.searchsorted(x, q, side="right") - 1
-            return j, (q - x[j]) / (x[j + 1] - x[j])
-
-        @njit(cache=True)
-        def _delta_theta_jit(x, theta, starts, patch_length):
-            # All modes share one grid, so each query point is located once
-            # and its bracket reused across the mode rows.
-            n_modes = theta.shape[0]
-            out = np.empty((starts.size, n_modes))
-            for i in range(starts.size):
-                ja, ta = _bracket(x, starts[i])
-                je, te = _bracket(x, starts[i] + patch_length)
-                for j in range(n_modes):
-                    row = theta[j]
-                    # t == 1.0 only on the high clamp; return the endpoint
-                    # exactly instead of a rounded a + 1.0 * (b - a).
-                    if ta == 1.0:
-                        fa = row[ja + 1]
-                    else:
-                        fa = row[ja] + ta * (row[ja + 1] - row[ja])
-                    if te == 1.0:
-                        fe = row[je + 1]
-                    else:
-                        fe = row[je] + te * (row[je + 1] - row[je])
-                    out[i, j] = fe - fa
-            return out
-
-        BACKEND = "numba"
-        _frf_solve_impl = _frf_solve_jit
-        _delta_theta_impl = _delta_theta_jit
-
-
-def frf_solve(A, b, c, d, omegas):
-    """Evaluate c (jw I - A)^-1 b + d at each angular frequency.
-
-    Returns (values, flagged); singular points come back as inf with the
-    flag set instead of raising, so a sweep can skip them.
-    """
-    A = np.ascontiguousarray(A, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
-    c = np.ascontiguousarray(c, dtype=np.float64)
-    omegas = np.ascontiguousarray(omegas, dtype=np.float64)
-    return _frf_solve_impl(A, b, c, float(d), omegas)
-
-
 def delta_theta_scan(x, theta, starts, patch_length):
     """Slope difference theta(end) - theta(start) per candidate and mode.
 
     ``theta`` is (n_modes, n_grid); the result is (n_starts, n_modes).
     Query points are clamped to the grid ends, matching np.interp.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    theta = np.ascontiguousarray(theta, dtype=np.float64)
-    starts = np.ascontiguousarray(starts, dtype=np.float64)
-    return _delta_theta_impl(x, theta, starts, float(patch_length))
-
-
-def numpy_reference():
-    """The uncompiled implementations, for cross-checks and benchmarks."""
-    return _frf_solve_numpy, _delta_theta_numpy
+    x = np.asarray(x, dtype=np.float64)
+    theta = np.asarray(theta, dtype=np.float64)
+    starts = np.asarray(starts, dtype=np.float64)
+    out = np.empty((starts.size, theta.shape[0]))
+    ends = starts + float(patch_length)
+    for j in range(theta.shape[0]):
+        out[:, j] = np.interp(ends, x, theta[j]) - np.interp(starts, x, theta[j])
+    return out

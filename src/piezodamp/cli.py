@@ -23,8 +23,8 @@ from .frf import (FRF, bode_table, find_peaks, gain_sweep,
 from .modal import TWO_PI
 from .piezo import coupling_factor
 from .placement import PlacementProblem, optimize_placement, scan_objective
-from .ppf import (LinearSystem, PPFConfig, UNBOUNDED_GAIN, build_plant,
-                  critical_gain, plant_system, ppf_controller)
+from .ppf import (LinearSystem, PPFConfig, build_plant, critical_gain,
+                  ppf_controller)
 
 
 def _fmt(v) -> str:
@@ -192,10 +192,7 @@ def cmd_ppf_design(args) -> int:
                           out / "controller_ss.csv")
     _say(args, f"filter at {_fmt(cfg.ppf_freq_hz)} Hz, zeta "
                f"{_fmt(cfg.ppf_zeta)}")
-    if gcrit == UNBOUNDED_GAIN:
-        _say(args, "no destabilizing gain found up to 1e+06")
-    else:
-        _say(args, f"critical gain {_fmt(gcrit)}")
+    _say(args, f"critical gain {_fmt(gcrit)}")
     _say(args, f"wrote {out / 'ppf_summary.csv'}, {out / 'plant_modes.csv'}, "
                f"{out / 'plant_ss.csv'}, {out / 'controller_ss.csv'} "
                "(controller exported at unit gain)")

@@ -8,16 +8,13 @@ is scaled by the gain and added back onto the plant input (positive feedback).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegeneratePlantError, InvalidInputError, NumericalError
 from .modal import ModalModel, TWO_PI
 from .piezo import PatchGeometry, PiezoMaterial, coupling_factor
-
-GAIN_SEARCH_LIMIT = 1e6
-UNBOUNDED_GAIN = float("inf")
 
 
 @dataclass
@@ -77,7 +74,14 @@ class LinearSystem:
 
 @dataclass
 class ModalPlant:
-    """Per-mode frequency (rad/s), damping ratio, and actuation influence."""
+    """Per-mode frequency (rad/s), damping ratio, and actuation influence.
+
+    Undamped modes (zeta_i = 0) are allowed, and g* = 1 / G(0) holds with
+    them (see ``critical_gain``): PPF damps such a mode through its
+    influence b_i. A mode with b_i = 0 is neither actuated nor sensed, so it
+    is left undamped at every gain when zeta_i = 0, and then no gain makes
+    the closed loop asymptotically stable.
+    """
 
     omegas: np.ndarray
     zetas: np.ndarray
@@ -242,36 +246,21 @@ def stability(sys: LinearSystem, tol_margin: float | None = None) -> StabilityRe
     return StabilityResult(max_re < -tol_margin, max_re)
 
 
-def critical_gain(plant: ModalPlant, cfg: PPFConfig,
-                  rel_tol: float = 1e-6) -> float:
-    """Smallest gain that destabilizes the closed loop, found by doubling the
-    bracket then bisecting to the given relative tolerance.
+def critical_gain(plant: ModalPlant, cfg: PPFConfig) -> float:
+    """Smallest gain that destabilizes the closed loop: g* = 1 / G(0) =
+    1 / sum(b_i^2 / omega_i^2).
 
-    The gain of ``cfg`` is ignored. Returns inf when no gain up to 1e6
-    destabilizes the loop. Stability inside the search uses a zero margin so
-    the returned gain is not biased by the default roundoff margin.
+    A collocated modal plant is negative imaginary and the PPF filter is a
+    strictly negative imaginary system of static gain g, so the loop is
+    unstable for every g > g* and asymptotically stable for 0 < g < g*
+    (Fanson & Caughey, AIAA J. 1990; Lanzon & Petersen, IEEE TAC 2008).
+    This holds for every zeta_i >= 0 and depends on neither the filter
+    frequency nor its damping, so ``cfg`` is ignored. The one exception is a
+    mode with b_i = 0: it does not enter g* and keeps its open-loop damping
+    at every gain, so an undamped one leaves the loop marginally stable at
+    best (see ``ModalPlant``).
     """
     if not np.any(plant.b != 0.0):
         raise DegeneratePlantError("plant has no controllable mode")
-    psys = plant_system(plant)
-
-    def unstable(g: float) -> bool:
-        cl = close_loop(psys, ppf_controller(replace(cfg, gain=g)))
-        return not stability(cl, tol_margin=0.0).stable
-
-    lo = 0.0
-    hi = 1.0
-    while hi <= GAIN_SEARCH_LIMIT and not unstable(hi):
-        lo = hi
-        hi *= 2.0
-    if hi > GAIN_SEARCH_LIMIT:
-        if lo >= GAIN_SEARCH_LIMIT or not unstable(GAIN_SEARCH_LIMIT):
-            return UNBOUNDED_GAIN
-        hi = GAIN_SEARCH_LIMIT
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if unstable(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return float(1.0 / np.sum(plant.b * plant.b
+                              / (plant.omegas * plant.omegas)))

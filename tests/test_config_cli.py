@@ -167,15 +167,15 @@ def test_cli_sweep_damping_increases_with_gain(gripper_ini, tmp_path):
 
 
 def test_cli_sweep_solves_each_gain_once(gripper_ini, tmp_path, monkeypatch):
-    from piezodamp import _kernels
+    from piezodamp import frf
     solves = []
-    solve = _kernels.frf_solve
+    solve = frf.closed_loop_frf
 
     def counting_solve(*args):
         solves.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(_kernels, "frf_solve", counting_solve)
+    monkeypatch.setattr(frf, "closed_loop_frf", counting_solve)
     out = tmp_path / "out"
     assert _run(["sweep", "--config", str(gripper_ini), "--out-dir",
                  str(out), "--quiet"]) == 0

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.signal import find_peaks as scipy_find_peaks
 
@@ -266,11 +266,102 @@ def test_gain_sweep_flags_unstable_rows():
     assert rows[1].response is None
     assert rows[0].estimate.zeta > 0.01
     # Stable rows keep the closed-loop response the estimate was read from.
-    cl = pd.close_loop(pd.plant_system(plant),
-                       pd.ppf_controller(replace(cfg, gain=rows[0].gain)))
-    np.testing.assert_array_equal(rows[0].response.values,
-                                  pd.frf_of(cl, freqs).values)
+    loop = pd.closed_loop_frf(plant, replace(cfg, gain=rows[0].gain), freqs)
+    np.testing.assert_array_equal(rows[0].response.values, loop.values)
     np.testing.assert_array_equal(rows[0].response.freqs_hz, freqs)
+
+
+@st.composite
+def _loops(draw):
+    """A random modal plant (max |b| = 1, as ``build_plant`` normalizes it)
+    and a PPF filter at a gain in [0, 0.95] g*."""
+    n = draw(st.integers(1, 20))
+    modes = st.lists(st.tuples(st.floats(1.0, 1000.0), st.floats(1e-4, 0.2),
+                               st.floats(-1.0, 1.0)), min_size=n, max_size=n)
+    f, zetas, b = (np.array(c) for c in zip(*draw(modes)))
+    assume(np.any(b != 0.0))
+    plant = pd.ModalPlant(2.0 * np.pi * f, zetas, b / np.max(np.abs(b)))
+    filt = pd.PPFConfig.from_hz(draw(st.floats(1.0, 1000.0)),
+                                draw(st.floats(0.01, 0.9)))
+    gain = draw(st.floats(0.0, 0.95)) * pd.critical_gain(plant, filt)
+    return plant, replace(filt, gain=gain)
+
+
+def _grid_over(plant):
+    f = plant.omegas / (2.0 * np.pi)
+    return np.linspace(0.5 * f.min(), 1.5 * f.max(), 257)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=200, deadline=None)
+@given(_loops())
+def test_closed_loop_frf_matches_state_space(loop):
+    plant, cfg = loop
+    grid = _grid_over(plant)
+    got = pd.closed_loop_frf(plant, cfg, grid)
+    ref = pd.frf_of(pd.close_loop(pd.plant_system(plant),
+                                  pd.ppf_controller(cfg)), grid)
+    np.testing.assert_allclose(got.values, ref.values, rtol=1e-10, atol=0.0)
+    assert not got.flagged.any() and not ref.flagged.any()
+    assert (got.input_label, got.output_label) == (ref.input_label,
+                                                   ref.output_label)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=100, deadline=None)
+@given(_loops())
+def test_closed_loop_frf_at_zero_gain_is_the_open_loop(loop):
+    plant, cfg = loop
+    grid = _grid_over(plant)
+    got = pd.closed_loop_frf(plant, replace(cfg, gain=0.0), grid)
+    ref = pd.frf_of(pd.plant_system(plant), grid)
+    np.testing.assert_allclose(got.values, ref.values, rtol=1e-10, atol=0.0)
+    assert not got.flagged.any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_loops())
+def test_critical_gain_bounds_eigenvalue_stability(loop):
+    plant, cfg = loop
+    g_star = pd.critical_gain(plant, cfg)
+    psys = pd.plant_system(plant)
+    for frac, stable in ((0.999, True), (1.001, False)):
+        cl = pd.close_loop(psys, pd.ppf_controller(replace(cfg,
+                                                           gain=frac * g_star)))
+        assert pd.stability(cl, tol_margin=0.0).stable is stable
+
+
+@pytest.mark.filterwarnings("error")
+def test_closed_loop_frf_on_an_undamped_mode():
+    # The grid hits the undamped 50 Hz mode exactly, where the state-space
+    # solve is exactly singular at zero gain and G -> inf gives H = -1/K at
+    # any positive gain. A second undamped mode at 60 Hz has b = 0: it is
+    # never actuated, so its pole stays on the grid at every gain.
+    plant = pd.ModalPlant(2.0 * np.pi * np.array([50.0, 60.0, 90.0]),
+                          [0.0, 0.0, 0.01], [1.0, 0.0, 0.5])
+    grid = np.array([45.0, 50.0, 55.0, 60.0, 65.0])
+    psys = pd.plant_system(plant)
+    g_star = pd.critical_gain(plant, None)
+    for gain in (0.0, 0.3 * g_star):
+        cfg = pd.PPFConfig(2.0 * np.pi * 70.0, 0.3, gain)
+        got = pd.closed_loop_frf(plant, cfg, grid)
+        ref = pd.frf_of(pd.close_loop(psys, pd.ppf_controller(cfg)), grid)
+        np.testing.assert_array_equal(got.flagged, ref.flagged)
+        np.testing.assert_allclose(got.values, ref.values, rtol=1e-10,
+                                   atol=0.0)
+        assert list(got.flagged) == [False, gain == 0.0, False, True, False]
+    w, wf = 2.0 * np.pi * 50.0, cfg.omega_f
+    K = cfg.gain * wf * wf / (wf * wf - w * w + 2j * cfg.zeta_f * wf * w)
+    assert got.values[1] == pytest.approx(-1.0 / K, rel=1e-14)
+
+
+def test_closed_loop_frf_validates_grid():
+    plant = _sdof()
+    cfg = pd.PPFConfig(2.0 * np.pi * 76.7, 0.3)
+    with pytest.raises(InvalidInputError):
+        pd.closed_loop_frf(plant, cfg, [75.0])
+    with pytest.raises(InvalidInputError):
+        pd.closed_loop_frf(plant, cfg, [75.0, 74.0])
 
 
 def test_gain_sweep_validation():

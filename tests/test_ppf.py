@@ -172,12 +172,21 @@ def test_critical_gain_independent_of_filter_speed():
     assert g1 == pytest.approx(w * w, rel=1e-5)
 
 
-def test_critical_gain_unbounded_marker():
-    # omega^2/b^2 far beyond the search cap.
+def test_critical_gain_beyond_former_search_cap():
+    # omega^2/b^2 = 3.95e11, far above the 1e6 where a bracketing search
+    # used to give up and report the gain as unbounded.
     w = 2.0 * np.pi * 1000.0
     plant = pd.ModalPlant([w], [0.01], [0.01])
     cfg = pd.PPFConfig(2.0 * np.pi * 76.7, 0.3)
-    assert pd.critical_gain(plant, cfg) == float("inf")
+    g = pd.critical_gain(plant, cfg)
+    assert g == pytest.approx(w * w / (0.01 * 0.01), rel=1e-14)
+    assert g == pytest.approx(3.95e11, rel=1e-3)
+
+
+def test_critical_gain_needs_a_controllable_mode():
+    plant = pd.ModalPlant([10.0, 20.0], [0.01, 0.0], [0.0, 0.0])
+    with pytest.raises(DegeneratePlantError):
+        pd.critical_gain(plant, pd.PPFConfig(15.0, 0.3))
 
 
 def test_critical_gain_destabilizes_multimode(gripper_model, material):
