@@ -255,41 +255,91 @@ def assemble_beam_matrices(props: BeamProperties, n_elements: int):
     return K, M
 
 
+def cantilever_flexibility(props: BeamProperties, n_elements: int) -> np.ndarray:
+    """Inverse of the clamped stiffness matrix ``K[2:, 2:]``, in closed form.
+
+    Hermite elements reproduce a uniform beam's nodal deflections exactly
+    under nodal loads, so the inverse is the cantilever's flexibility between
+    the free nodes x_i, x_j (Maxwell reciprocity). With a = min and b = max
+    of the two: deflection per force a^2 (3b - a) / 6EI, slope per moment
+    a / EI, deflection at x_i per moment at x_j x_i^2 / 2EI for x_i <= x_j
+    and x_j (2 x_i - x_j) / 2EI beyond it, and its transpose for slope per
+    force. The result is exactly symmetric. DOF ordering is
+    (w_1, theta_1, w_2, theta_2, ...).
+    """
+    if n_elements < 1:
+        raise InvalidInputError("n_elements must be >= 1")
+    le = props.length / n_elements
+    F = _flexibility_pattern(n_elements) * (le ** 3 / (6.0 * props.bending_stiffness))
+    F[1::2] /= le
+    F[:, 1::2] /= le
+    return F
+
+
+def _flexibility_pattern(n_elements: int) -> np.ndarray:
+    """6 EI / le^3 times the cantilever flexibility in the DOFs
+    (w_1, le theta_1, w_2, le theta_2, ...): with x_i = i le every entry is a
+    polynomial in the node numbers, so this matrix holds exact integers."""
+    i = np.arange(1.0, n_elements + 1.0)[:, None]
+    j = i.T
+    a = np.minimum(i, j)
+    b = np.maximum(i, j)
+    G = np.empty((2 * n_elements, 2 * n_elements))
+    G[0::2, 0::2] = a * a * (3.0 * b - a)
+    G[1::2, 1::2] = 6.0 * a
+    w_per_moment = 3.0 * np.where(i <= j, i * i, j * (2.0 * i - j))
+    G[0::2, 1::2] = w_per_moment
+    G[1::2, 0::2] = w_per_moment.T
+    return G
+
+
 def fe_beam_modes(props: BeamProperties, n_elements: int,
                   n_modes: int) -> ModalModel:
     """Finite element cantilever modes from the clamped generalized eigenproblem.
 
-    The lowest modes are solved as the largest eigenvalues mu = 1/omega^2 of
-    M v = mu K v. The solver's error scales with the largest eigenvalue of
-    the problem it is given; posed as K v = lambda M v that is the highest
-    mesh mode, which at 800 elements leaves the first mode about 1e-3 off.
-    The vectors are mass normalized, so modal masses are exactly 1 kg.
+    The lowest modes are the largest eigenvalues mu = 1/omega^2 of
+    M v = mu K v, i.e. of F M v = mu v with F = K^-1 the closed-form
+    cantilever flexibility (``cantilever_flexibility``), so nothing is
+    factorized. With slopes scaled by the element length both F and M are a
+    constant times a matrix of integers that depends only on the mesh; the
+    solve runs on those integer matrices and the constants convert the
+    result back, which keeps every beam equally well conditioned.
+
+    The solve is subspace iteration (Bathe & Wilson 1972) on a block of
+    p = min(n_dof, 2 n_modes + 8) vectors, started from a fixed-seed
+    orthonormal basis. Each pass multiplies the block by M (element by
+    element, so M is never assembled) and then by F, does a Rayleigh-Ritz
+    step on the p x p pencil (X' M F M X, X' M X) and re-orthonormalizes
+    F M X by QR. The Ritz vectors are mass normalized, so modal masses are
+    exactly 1 kg.
+
+    The vector error of mode m shrinks by about mu_p / mu_m per pass, so the
+    iteration stops at pass k once (mu_p / mu_m)^k falls below the unit
+    roundoff, using the current Ritz values; when p = n_dof the first
+    Rayleigh-Ritz step is already exact. It does not stop on a residual
+    tolerance: a residual loose enough to be reached at every mesh size
+    leaves the higher shapes visibly short of convergence. After stopping,
+    every mode must pass the backward-error check
+    |F M v - mu v| <= 1e-10 mu_1 |v|, or ``NumericalError`` is raised; so
+    is a run that has not stopped within the pass cap.
+
     Shapes and slopes are read off the nodal DOFs.
     """
-    # Imported here so that only finite element models pay for scipy.linalg.
-    from scipy.linalg import eigh
-
     if n_elements < 4:
         raise InvalidInputError("n_elements must be >= 4")
     if not 1 <= n_modes <= n_elements:
         raise InvalidInputError(
             f"n_modes must lie in 1..{n_elements} for {n_elements} elements")
-    K, M = assemble_beam_matrices(props, n_elements)
-    Kf = K[2:, 2:]
-    Mf = M[2:, 2:]
-    n_dof = Kf.shape[0]
-    try:
-        mus, vecs = eigh(Mf, Kf, subset_by_index=(n_dof - n_modes, n_dof - 1))
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise NumericalError(
-            f"beam eigensolve failed for {n_elements} elements: {exc}") from exc
-    if not np.all(np.isfinite(mus)) or mus[0] <= 0.0:
-        raise NumericalError(
-            f"beam eigensolve returned a non-positive eigenvalue {mus[0]:g}")
-    # v is K-orthonormal, so v' M v = mu and v / sqrt(mu) is mass normalized.
-    mus = mus[::-1]
-    vals = 1.0 / mus
-    vecs = vecs[:, ::-1] / np.sqrt(mus)
+    le = props.length / n_elements
+    # A unit-length element with rhoA = 420 has an integer mass matrix, and
+    # M = (rhoA le / 420) N in the scaled DOFs, N assembled from it.
+    _, me = beam_element_matrices(1.0, 420.0, 1.0)
+    nus, vecs = _subspace_iteration(_flexibility_pattern(n_elements), me,
+                                    n_modes)
+    rho_le = props.mass_per_length * le
+    omegas = np.sqrt(2520.0 * props.bending_stiffness / (rho_le * le ** 3 * nus))
+    vecs *= np.sqrt(420.0 / rho_le)
+    vecs[1::2] /= le
     x = np.linspace(0.0, props.length, n_elements + 1)
     modes = []
     for i in range(n_modes):
@@ -300,9 +350,65 @@ def fe_beam_modes(props: BeamProperties, n_elements: int,
         if theta[-1] < 0.0:
             phi = -phi
             theta = -theta
-        modes.append(Mode(i + 1, float(np.sqrt(vals[i])), 1.0,
+        modes.append(Mode(i + 1, float(omegas[i]), 1.0,
                           props.structural_damping, phi, theta))
     return ModalModel(x, modes, SOURCE_FE, NORM_MASS)
+
+
+# A uniform cantilever stops within about 15 passes at any mesh and mode count.
+_MAX_PASSES = 100
+
+
+def _clamped_mass_times(me: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M X for the clamped beam assembled from the element mass ``me``,
+    element by element: element e couples the DOFs of nodes e and e + 1, and
+    the clamped node 0 contributes nothing. This skips the dense matrix."""
+    n_el = X.shape[0] // 2
+    nodes = np.zeros((n_el + 1, 2, X.shape[1]))
+    nodes[1:] = X.reshape(n_el, 2, -1)
+    forces = np.einsum("ij,ejp->eip", me,
+                       np.concatenate([nodes[:-1], nodes[1:]], axis=1))
+    out = np.zeros_like(nodes)
+    out[:-1] += forces[:, :2]
+    out[1:] += forces[:, 2:]
+    return out[1:].reshape(X.shape)
+
+
+def _subspace_iteration(F: np.ndarray, me: np.ndarray, n_modes: int):
+    """Largest n_modes eigenpairs of F M v = mu v, for a symmetric positive
+    definite F and the clamped beam mass M assembled from ``me``: mu
+    descending and M-orthonormal vectors."""
+    n_dof = F.shape[0]
+    p = min(n_dof, 2 * n_modes + 8)
+    X = np.linalg.qr(np.random.default_rng(0).standard_normal((n_dof, p)))[0]
+    for k in range(1, _MAX_PASSES + 1):
+        Y = _clamped_mass_times(me, X)
+        Z = F @ Y
+        A = Y.T @ Z
+        B = Y.T @ X
+        try:
+            L = np.linalg.cholesky(0.5 * (B + B.T))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"beam eigensolve lost its basis: {exc}") from exc
+        C = np.linalg.solve(L, np.linalg.solve(L, 0.5 * (A + A.T)).T)
+        mus, W = np.linalg.eigh(0.5 * (C + C.T))
+        mus, W = mus[::-1], W[:, ::-1]
+        if not mus[-1] > 0.0:
+            raise NumericalError(
+                f"beam eigensolve returned a non-positive eigenvalue {mus[-1]:g}")
+        if p == n_dof or (mus[-1] / mus[n_modes - 1]) ** k <= np.finfo(float).eps:
+            Q = np.linalg.solve(L.T, W[:, :n_modes])
+            vecs = X @ Q
+            residual = np.linalg.norm(Z @ Q - vecs * mus[:n_modes], axis=0)
+            ratio = residual / (mus[0] * np.linalg.norm(vecs, axis=0))
+            if not np.all(ratio <= 1e-10):
+                raise NumericalError(
+                    f"beam eigensolve stopped with a residual of "
+                    f"{np.max(ratio):.3g} mu_1")
+            return mus[:n_modes], vecs
+        X = np.linalg.qr(Z)[0]
+    raise NumericalError(
+        f"beam eigensolve did not converge in {_MAX_PASSES} passes")
 
 
 def _read_csv(path, check_header, min_rows: int):

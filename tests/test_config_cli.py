@@ -263,30 +263,47 @@ def test_state_space_export_round_trip(tmp_path):
     assert lines[5] == "B,4,1"
 
 
-# Prints the loaded scipy modules after importing the CLI, then after running
-# every command line given as JSON in argv[1].
-_SCIPY_PROBE = """
-import json, sys
-from piezodamp import cli
+# Makes every scipy import raise, then runs each command line given as JSON in
+# argv[1]; a lazy scipy import anywhere on those paths fails the run. Prints
+# whether the block took effect and the scipy modules loaded after importing
+# the CLI and after the runs.
+_NO_SCIPY_PROBE = """
+import importlib.abc, json, sys
+
+class BlockScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy is blocked: import {name}")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+try:
+    import scipy.linalg
+    blocked = False
+except ImportError:
+    blocked = True
+
+from piezodamp import cli
 
 after_import = scipy_modules()
 for argv in json.loads(sys.argv[1]):
     code = cli.main(argv)
     if code != 0:
         raise SystemExit(f"exit {code} from {argv}")
-print(json.dumps([after_import, scipy_modules()]))
+print(json.dumps([blocked, after_import, scipy_modules()]))
 """
 
 
-def _scipy_modules_loaded(argvs):
+def _run_without_scipy(argvs):
     src = Path(pd.__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE,
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY_PROBE,
                           json.dumps(argvs)],
                          env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
@@ -298,29 +315,22 @@ def _config_runs(ini, out):
             for sub in SUBCOMMANDS]
 
 
-def test_cli_measured_and_analytic_runs_load_no_scipy(gripper_ini,
-                                                      gripper_frf_csv,
-                                                      tmp_path):
-    # Analytic modes come from the closed-form cantilever roots, which are
-    # solved with numpy, not scipy.optimize.
+def test_cli_runs_load_no_scipy(gripper_ini, gripper_frf_csv, tmp_path):
+    # Measured, analytic and finite element projects all run on numpy alone:
+    # cantilever roots by Newton, peaks by a numpy prominence routine, and
+    # the beam eigensolve by subspace iteration on the closed-form flexibility.
+    (tmp_path / "fe").mkdir()
+    fe_ini = _minimal_ini(tmp_path / "fe", structure=(
+        "[structure]\nsource = finite_element\nlength_m = 1.0\n"
+        "EI_Nm2 = 1.0\nmass_per_length_kgpm = 1.0\nn_modes = 2\n"
+        "n_elements = 16\n"))
     out = tmp_path / "out"
     argvs = (_config_runs(gripper_ini, out)
              + [["analyze", "--frf", str(gripper_frf_csv), "--band", "50,90",
                  "--out-dir", str(out), "--quiet"]]
-             + _config_runs(_minimal_ini(tmp_path), tmp_path / "analytic"))
-    after_import, after_run = _scipy_modules_loaded(argvs)
+             + _config_runs(_minimal_ini(tmp_path), tmp_path / "analytic")
+             + _config_runs(fe_ini, tmp_path / "fe_out"))
+    blocked, after_import, after_run = _run_without_scipy(argvs)
+    assert blocked
     assert after_import == []
     assert after_run == []
-
-
-def test_cli_finite_element_run_loads_only_scipy_linalg(tmp_path):
-    ini = _minimal_ini(tmp_path, structure=(
-        "[structure]\nsource = finite_element\nlength_m = 1.0\n"
-        "EI_Nm2 = 1.0\nmass_per_length_kgpm = 1.0\nn_modes = 2\n"
-        "n_elements = 16\n"))
-    after_import, after_run = _scipy_modules_loaded(
-        _config_runs(ini, tmp_path / "out"))
-    assert after_import == []
-    assert "scipy.linalg" in after_run
-    assert not [m for m in after_run
-                if m.startswith(("scipy.signal", "scipy.optimize"))]
