@@ -37,8 +37,7 @@ __all__ = [
     "ParseError", "PiezodampError", "PlacementError",
     "BeamProperties", "ModalModel", "Mode", "analytic_cantilever_modes",
     "assemble_beam_matrices", "cantilever_flexibility", "cantilever_root",
-    "fe_beam_modes",
-    "load_measured_modes", "slope_profile",
+    "fe_beam_modes", "load_measured_modes", "slope_profile",
     "CouplingResult", "PatchGeometry", "PiezoMaterial", "coupling_factor",
     "coupling_from_frequencies", "delta_thetas", "k31_squared",
     "PlacementProblem", "PlacementResult", "PlacementScan",

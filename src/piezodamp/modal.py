@@ -261,11 +261,11 @@ def cantilever_flexibility(props: BeamProperties, n_elements: int) -> np.ndarray
     Hermite elements reproduce a uniform beam's nodal deflections exactly
     under nodal loads, so the inverse is the cantilever's flexibility between
     the free nodes x_i, x_j (Maxwell reciprocity). With a = min and b = max
-    of the two: deflection per force a^2 (3b - a) / 6EI, slope per moment
-    a / EI, deflection at x_i per moment at x_j x_i^2 / 2EI for x_i <= x_j
-    and x_j (2 x_i - x_j) / 2EI beyond it, and its transpose for slope per
-    force. The result is exactly symmetric. DOF ordering is
-    (w_1, theta_1, w_2, theta_2, ...).
+    of the two, per unit load: deflection per force a^2 (3b - a) / 6EI;
+    slope per moment a / EI; deflection at x_i per moment at x_j
+    x_i^2 / 2EI for x_i <= x_j and x_j (2 x_i - x_j) / 2EI beyond it; slope
+    per force is the transpose of that block. The result is exactly
+    symmetric. DOF ordering is (w_1, theta_1, w_2, theta_2, ...).
     """
     if n_elements < 1:
         raise InvalidInputError("n_elements must be >= 1")
