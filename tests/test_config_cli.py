@@ -315,22 +315,32 @@ def _config_runs(ini, out):
             for sub in SUBCOMMANDS]
 
 
-def test_cli_runs_load_no_scipy(gripper_ini, gripper_frf_csv, tmp_path):
-    # Measured, analytic and finite element projects all run on numpy alone:
-    # cantilever roots by Newton, peaks by a numpy prominence routine, and
-    # the beam eigensolve by subspace iteration on the closed-form flexibility.
-    (tmp_path / "fe").mkdir()
-    fe_ini = _minimal_ini(tmp_path / "fe", structure=(
-        "[structure]\nsource = finite_element\nlength_m = 1.0\n"
-        "EI_Nm2 = 1.0\nmass_per_length_kgpm = 1.0\nn_modes = 2\n"
-        "n_elements = 16\n"))
+def test_cli_measured_and_analytic_runs_load_no_scipy(gripper_ini,
+                                                      gripper_frf_csv,
+                                                      tmp_path):
+    # Analytic modes come from the closed-form cantilever roots, solved with
+    # numpy, and peaks from a numpy prominence routine, not scipy.
     out = tmp_path / "out"
     argvs = (_config_runs(gripper_ini, out)
              + [["analyze", "--frf", str(gripper_frf_csv), "--band", "50,90",
                  "--out-dir", str(out), "--quiet"]]
-             + _config_runs(_minimal_ini(tmp_path), tmp_path / "analytic")
-             + _config_runs(fe_ini, tmp_path / "fe_out"))
+             + _config_runs(_minimal_ini(tmp_path), tmp_path / "analytic"))
     blocked, after_import, after_run = _run_without_scipy(argvs)
+    assert blocked
+    assert after_import == []
+    assert after_run == []
+
+
+def test_cli_finite_element_run_loads_only_scipy_linalg(tmp_path):
+    # The beam eigensolve is subspace iteration on the closed-form
+    # flexibility, so a finite element project loads no scipy module at all,
+    # scipy.linalg included.
+    ini = _minimal_ini(tmp_path, structure=(
+        "[structure]\nsource = finite_element\nlength_m = 1.0\n"
+        "EI_Nm2 = 1.0\nmass_per_length_kgpm = 1.0\nn_modes = 2\n"
+        "n_elements = 16\n"))
+    blocked, after_import, after_run = _run_without_scipy(
+        _config_runs(ini, tmp_path / "out"))
     assert blocked
     assert after_import == []
     assert after_run == []
