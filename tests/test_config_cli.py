@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import json
 import os
 import subprocess
@@ -196,6 +197,27 @@ def test_cli_deterministic_outputs(gripper_ini, gripper_frf_csv, tmp_path):
     match, mismatch, errors = filecmp.cmpfiles(outs[0], outs[1], names,
                                                shallow=False)
     assert mismatch == [] and errors == []
+
+
+def test_cli_gripper_outputs_match_golden_hashes(gripper_ini, gripper_frf_csv,
+                                                tmp_path):
+    # fixtures/gripper/expected.sha256 pins every gripper output byte for
+    # byte, in the format ``sha256sum -c`` reads.
+    out = tmp_path / "out"
+    for sub in SUBCOMMANDS:
+        assert _run([sub, "--config", str(gripper_ini), "--out-dir", str(out),
+                     "--quiet"]) == 0
+    assert _run(["analyze", "--frf", str(gripper_frf_csv), "--band", "50,90",
+                 "--out-dir", str(out), "--quiet"]) == 0
+    expected = {}
+    for line in (gripper_ini.parent / "expected.sha256").read_text().splitlines():
+        digest, name = line.split(maxsplit=1)
+        expected[name] = digest
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in out.iterdir()}
+    differ = sorted(n for n in expected.keys() | got.keys()
+                    if expected.get(n) != got.get(n))
+    assert differ == [], f"outputs differ from expected.sha256: {differ}"
 
 
 def test_cli_quiet_suppresses_stdout(gripper_ini, tmp_path, capsys):
