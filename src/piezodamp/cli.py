@@ -18,11 +18,11 @@ import numpy as np
 from .config import ProjectConfig, load_config
 from .errors import (BandwidthError, ConfigError, InvalidInputError,
                      NumericalError, ParseError)
-from .frf import (FRF, bode_table, find_peaks, gain_sweep,
-                  half_power_damping, load_frf_csv)
+from .frf import (bode_table, find_peaks, gain_sweep, half_power_damping,
+                  load_frf_csv)
 from .modal import TWO_PI
 from .piezo import coupling_factor
-from .placement import PlacementProblem, optimize_placement, scan_objective
+from .placement import PlacementProblem, optimize_placement
 from .ppf import (LinearSystem, PPFConfig, build_plant, critical_gain,
                   ppf_controller)
 
@@ -142,11 +142,11 @@ def cmd_place(args) -> int:
     problem = PlacementProblem(model, cfg.patch, cfg.material,
                                _mode_weights(cfg, model.n_modes),
                                cfg.placement_step, cfg.n_patches, cfg.min_gap)
-    scan = scan_objective(problem)
+    result = optimize_placement(problem)
+    scan = result.scan
     k2_cols = [f"K2_mode{m.index}" for m in model.modes]
     _write_columns(out / "scan.csv", ["x_start_m", "objective"] + k2_cols,
                    [scan.x_starts, scan.objective] + list(scan.k2.T))
-    result = optimize_placement(problem)
     placed_rows = []
     for pos, couplings in zip(result.positions, result.couplings):
         i = int(np.flatnonzero(scan.x_starts == pos)[0])
@@ -200,7 +200,7 @@ def cmd_ppf_design(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    """Close the loop over the configured gains and track peak damping."""
+    """Close the loop over the configured gains and report peak damping."""
     cfg = _require_config(args)
     out = _out_dir(args)
     if not cfg.gains:
@@ -209,9 +209,7 @@ def cmd_sweep(args) -> int:
     plant, _ = _plant_from_config(cfg, model)
     filt = PPFConfig.from_hz(cfg.ppf_freq_hz, cfg.ppf_zeta)
     freqs = np.linspace(cfg.band_hz[0], cfg.band_hz[1], cfg.n_freq)
-    target = cfg.target_mode - 1 if cfg.target_mode is not None else None
     rows = gain_sweep(plant, filt, cfg.gains, freqs_hz=freqs,
-                      target_mode=target,
                       min_prominence_db=cfg.min_prominence_db)
     table = []
     for row in rows:

@@ -12,17 +12,20 @@ Sections and keys:
     [patch]        length_m, width_m, thickness_m, x_start_m (optional),
                    z_offset_m or host_thickness_m (exactly one)
     [ppf]          freq_hz, zeta, gains (comma list for sweeps)
-    [analysis]     band_hz = lo,hi; n_freq (optional); target_mode (optional);
+    [analysis]     band_hz = lo,hi; n_freq (optional);
                    min_prominence_db (optional); placement: step_m,
                    n_patches (optional), min_gap_m (optional),
                    mode_weights (optional "1:1.0,2:0.5")
 
-Every value is validated on load; referenced files must exist.
+Every value is validated on load and every number must be finite;
+referenced files must exist. Unknown keys are ignored and ``%`` is literal.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,13 +43,19 @@ def _section(cp: configparser.ConfigParser, name: str):
     return cp[name]
 
 
+def _finite(sect, key: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ConfigError(f"[{sect.name}] {key} = {sect[key]!r} is not finite")
+    return value
+
+
 def _float(sect, key: str, default=None) -> float:
     if key not in sect:
         if default is not None:
             return default
         raise ConfigError(f"[{sect.name}] is missing key {key!r}")
     try:
-        return float(sect[key])
+        return _finite(sect, key, float(sect[key]))
     except ValueError:
         raise ConfigError(
             f"[{sect.name}] {key} = {sect[key]!r} is not a number") from None
@@ -78,7 +87,8 @@ def _float_list(sect, key: str) -> list[float]:
     if key not in sect:
         raise ConfigError(f"[{sect.name}] is missing key {key!r}")
     try:
-        return [float(t) for t in sect[key].split(",") if t.strip()]
+        return [_finite(sect, key, float(t)) for t in sect[key].split(",")
+                if t.strip()]
     except ValueError:
         raise ConfigError(
             f"[{sect.name}] {key} = {sect[key]!r} is not a comma list of "
@@ -98,7 +108,7 @@ def _weights(sect, key: str) -> dict[int, float] | None:
                 f"[{sect.name}] {key}: entry {item!r} must look like 'mode:weight'")
         mode_s, weight_s = item.split(":", 1)
         try:
-            out[int(mode_s)] = float(weight_s)
+            out[int(mode_s)] = _finite(sect, key, float(weight_s))
         except ValueError:
             raise ConfigError(
                 f"[{sect.name}] {key}: entry {item!r} must look like "
@@ -133,13 +143,11 @@ class ProjectConfig:
     gains: list[float]
     band_hz: tuple[float, float]
     n_freq: int
-    target_mode: int | None
     min_prominence_db: float
     placement_step: float
     n_patches: int
     min_gap: float
     mode_weights: dict[int, float] | None
-    base_dir: Path
 
     def build_model(self) -> ModalModel:
         """Materialize the modal model the config describes."""
@@ -161,13 +169,16 @@ def load_config(path) -> ProjectConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file {path} does not exist")
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    cp = configparser.ConfigParser(interpolation=None,
+                                   inline_comment_prefixes=("#",))
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cp.read_file(fh, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    base = path.parent
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: cannot decode byte "
+                          f"0x{exc.object[exc.start]:02x}") from None
 
     st = _section(cp, "structure")
     source = st.get("source", "").strip()
@@ -185,8 +196,10 @@ def load_config(path) -> ProjectConfig:
     if source == "measured":
         if "shapes_file" not in st:
             raise ConfigError("[structure] measured source needs shapes_file")
-        shapes_file = base / st["shapes_file"]
-        if not shapes_file.is_file():
+        shapes_file = path.parent / st["shapes_file"]
+        # os.path.isfile gives False, not an OSError, for a name the file
+        # system rejects (too long, for one).
+        if not os.path.isfile(shapes_file):
             raise ConfigError(f"shapes file {shapes_file} does not exist")
         freqs = _float_list(st, "frequencies_hz")
         if "damping" in st:
@@ -263,9 +276,6 @@ def load_config(path) -> ProjectConfig:
     n_freq = _int(an, "n_freq", 2001)
     if n_freq < 2:
         raise ConfigError("[analysis] n_freq must be >= 2")
-    target_mode = _int(an, "target_mode", 0) if "target_mode" in an else None
-    if target_mode is not None and target_mode < 1:
-        raise ConfigError("[analysis] target_mode is 1-based")
     min_prom = _float(an, "min_prominence_db", 1.0)
     if min_prom <= 0.0:
         raise ConfigError("[analysis] min_prominence_db must be positive")
@@ -287,5 +297,5 @@ def load_config(path) -> ProjectConfig:
                 raise ConfigError("[analysis] mode_weights must be >= 0")
 
     return ProjectConfig(structure, material, patch, ppf_freq, ppf_zeta,
-                         gains, (band[0], band[1]), n_freq, target_mode,
-                         min_prom, step, n_patches, min_gap, weights, base)
+                         gains, (band[0], band[1]), n_freq, min_prom, step,
+                         n_patches, min_gap, weights)

@@ -13,9 +13,6 @@ from .modal import TWO_PI, _read_csv
 from .ppf import (LinearSystem, ModalPlant, PPFConfig, close_loop,
                   plant_system, ppf_controller, stability)
 
-SOURCE_SIMULATED = "simulated"
-SOURCE_MEASURED = "measured"
-
 DEFAULT_GRID_POINTS = 2001
 DEFAULT_BAND_FACTOR = 0.2
 
@@ -30,19 +27,11 @@ class FRF:
 
     freqs_hz: np.ndarray
     values: np.ndarray
-    input_label: str = "in"
-    output_label: str = "out"
-    source: str = SOURCE_SIMULATED
     flagged: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        self.freqs_hz = np.asarray(self.freqs_hz, dtype=float)
+        self.freqs_hz = f = _grid(self.freqs_hz)
         self.values = np.asarray(self.values, dtype=complex)
-        f = self.freqs_hz
-        if f.ndim != 1 or f.size < 2:
-            raise InvalidInputError("an FRF needs at least two frequency points")
-        if f[0] <= 0.0 or np.any(np.diff(f) <= 0.0):
-            raise InvalidInputError("frequencies must be positive and strictly increasing")
         if self.values.shape != f.shape:
             raise InvalidInputError("values and frequencies must have equal length")
         if self.flagged is None:
@@ -61,24 +50,15 @@ class FRF:
 
 
 def frf_of(sys: LinearSystem, freqs_hz) -> FRF:
-    """Frequency response C (jw I - A)^-1 B + D of a single-input
-    single-output system, one linear solve per point.
+    """Frequency response C (jw I - A)^-1 B + D, one linear solve per point.
 
     A singular point (an exactly undamped resonance hit head-on) is flagged
     and the evaluation continues.
     """
-    if sys.n_inputs != 1 or sys.n_outputs != 1:
-        raise InvalidInputError("frequency response needs a single-input "
-                                "single-output system")
     f = _grid(freqs_hz)
-    if sys.n_states == 0:
-        vals = np.full(f.size, complex(sys.D[0, 0]))
-        flagged = np.zeros(f.size, dtype=bool)
-    else:
-        vals, flagged = _kernels.frf_solve(sys.A, sys.B[:, 0], sys.C[0],
-                                           sys.D[0, 0], TWO_PI * f)
-    return FRF(f, vals, sys.input_labels[0], sys.output_labels[0],
-               SOURCE_SIMULATED, flagged)
+    vals, flagged = _kernels.frf_solve(sys.A, sys.B[:, 0], sys.C[0],
+                                       sys.D[0, 0], TWO_PI * f)
+    return FRF(f, vals, flagged)
 
 
 def closed_loop_frf(plant: ModalPlant, cfg: PPFConfig, freqs_hz) -> FRF:
@@ -117,7 +97,7 @@ def closed_loop_frf(plant: ModalPlant, cfg: PPFConfig, freqs_hz) -> FRF:
     H[fixed_pole] = np.inf
     flagged = ~(np.isfinite(H.real) & np.isfinite(H.imag))
     H[flagged] = np.inf
-    return FRF(f, H, "d", "y", SOURCE_SIMULATED, flagged)
+    return FRF(f, H, flagged)
 
 
 def _grid(freqs_hz) -> np.ndarray:
@@ -151,7 +131,7 @@ def load_frf_csv(path) -> FRF:
     if freqs[0] <= 0.0 or np.any(np.diff(freqs) <= 0.0):
         raise ParseError(
             f"{path}: freq_hz must be positive and strictly increasing")
-    return FRF(freqs, vals, source=SOURCE_MEASURED)
+    return FRF(freqs, vals)
 
 
 def save_frf_csv(frf: FRF, path) -> None:
@@ -351,14 +331,13 @@ class SweepRow:
 
 
 def gain_sweep(plant: ModalPlant, cfg: PPFConfig, gains, freqs_hz=None,
-               target_mode: int | None = None,
                min_prominence_db: float = 1.0) -> list[SweepRow]:
-    """Close the loop at each gain and track the target resonance.
+    """Close the loop at each gain and report the dominant in-band peak.
 
     Stable rows carry the closed-loop response and a half-power estimate of
     its dominant in-band peak; unstable rows are flagged and skipped. The
-    target mode defaults to the plant mode closest to the filter frequency,
-    and the grid to 2001 points over [0.8, 1.2] times that mode's frequency.
+    grid defaults to 2001 points over [0.8, 1.2] times the frequency of the
+    plant mode closest to the filter.
     The gain of ``cfg`` is ignored in favour of the swept values. Every
     stable row's response is kept on ``SweepRow.response``, so memory grows
     with the number of gains times the grid length.
@@ -370,15 +349,9 @@ def gain_sweep(plant: ModalPlant, cfg: PPFConfig, gains, freqs_hz=None,
         raise InvalidInputError("gains must be >= 0")
     if any(b <= a for a, b in zip(gain_list, gain_list[1:])):
         raise InvalidInputError("gains must be strictly increasing")
-    if target_mode is None:
-        target = int(np.argmin(np.abs(plant.omegas - cfg.omega_f)))
-    else:
-        if not 0 <= target_mode < plant.n_modes:
-            raise InvalidInputError(
-                f"target_mode {target_mode} outside 0..{plant.n_modes - 1}")
-        target = target_mode
     if freqs_hz is None:
-        freqs_hz = default_frequency_grid(plant.omegas[target] / TWO_PI)
+        nearest = plant.omegas[np.argmin(np.abs(plant.omegas - cfg.omega_f))]
+        freqs_hz = default_frequency_grid(nearest / TWO_PI)
     psys = plant_system(plant)
     rows = []
     for g in gain_list:

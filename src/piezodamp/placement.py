@@ -62,11 +62,13 @@ class PlacementScan:
 
 @dataclass
 class PlacementResult:
-    """Chosen positions in ascending order with their per-mode couplings."""
+    """Chosen positions in ascending order with their per-mode couplings,
+    and the scan they were picked from."""
 
     positions: list[float]
     couplings: list[list[CouplingResult]]
     objective: float
+    scan: PlacementScan
 
 
 def candidate_positions(problem: PlacementProblem) -> np.ndarray:
@@ -127,4 +129,4 @@ def optimize_placement(problem: PlacementProblem) -> PlacementResult:
             for m in problem.model.modes
         ])
     objective = float(np.sum(scan.objective[chosen]))
-    return PlacementResult(positions, couplings, objective)
+    return PlacementResult(positions, couplings, objective, scan)

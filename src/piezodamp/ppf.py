@@ -8,7 +8,7 @@ is scaled by the gain and added back onto the plant input (positive feedback).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,15 +19,16 @@ from .piezo import PatchGeometry, PiezoMaterial, coupling_factor
 
 @dataclass
 class LinearSystem:
-    """Real state-space model (A, B, C, D) with axis labels."""
+    """Real single-input single-output state-space model (A, B, C, D).
+
+    B is n x 1, C is 1 x n and D is 1 x 1. The plant and the PPF filter are
+    strictly proper (D = 0); D is kept so exports carry all four blocks.
+    """
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray
-    state_labels: list[str] = field(default_factory=list)
-    input_labels: list[str] = field(default_factory=list)
-    output_labels: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -37,39 +38,20 @@ class LinearSystem:
         n = self.A.shape[0]
         if self.A.shape != (n, n):
             raise InvalidInputError("A must be square")
-        m = self.B.shape[1]
-        p = self.C.shape[0]
-        if self.B.shape != (n, m):
-            raise InvalidInputError("B must have one row per state")
-        if self.C.shape != (p, n):
-            raise InvalidInputError("C must have one column per state")
-        if self.D.shape != (p, m):
-            raise InvalidInputError("D must be outputs x inputs")
+        if self.B.shape != (n, 1):
+            raise InvalidInputError("B must be n x 1 (single-input)")
+        if self.C.shape != (1, n):
+            raise InvalidInputError("C must be 1 x n (single-output)")
+        if self.D.shape != (1, 1):
+            raise InvalidInputError("D must be 1 x 1")
         for name, mat in (("A", self.A), ("B", self.B), ("C", self.C),
                           ("D", self.D)):
             if mat.size and not np.all(np.isfinite(mat)):
                 raise InvalidInputError(f"{name} contains non-finite entries")
-        if not self.state_labels:
-            self.state_labels = [f"x{i}" for i in range(n)]
-        if not self.input_labels:
-            self.input_labels = [f"u{i}" for i in range(m)]
-        if not self.output_labels:
-            self.output_labels = [f"y{i}" for i in range(p)]
-        if (len(self.state_labels) != n or len(self.input_labels) != m
-                or len(self.output_labels) != p):
-            raise InvalidInputError("label counts must match matrix sizes")
 
     @property
     def n_states(self) -> int:
         return self.A.shape[0]
-
-    @property
-    def n_inputs(self) -> int:
-        return self.B.shape[1]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.C.shape[0]
 
 
 @dataclass
@@ -136,7 +118,6 @@ def plant_system(plant: ModalPlant) -> LinearSystem:
     A = np.zeros((2 * n, 2 * n))
     B = np.zeros((2 * n, 1))
     C = np.zeros((1, 2 * n))
-    states = []
     for i in range(n):
         w = plant.omegas[i]
         A[2 * i, 2 * i + 1] = 1.0
@@ -144,8 +125,7 @@ def plant_system(plant: ModalPlant) -> LinearSystem:
         A[2 * i + 1, 2 * i + 1] = -2.0 * plant.zetas[i] * w
         B[2 * i + 1, 0] = plant.b[i]
         C[0, 2 * i] = plant.b[i]
-        states += [f"x{i + 1}", f"xdot{i + 1}"]
-    return LinearSystem(A, B, C, np.zeros((1, 1)), states, ["u"], ["y"])
+    return LinearSystem(A, B, C, np.zeros((1, 1)))
 
 
 def build_plant(model: ModalModel, patch: PatchGeometry, mat: PiezoMaterial,
@@ -180,45 +160,25 @@ def ppf_controller(cfg: PPFConfig) -> LinearSystem:
     A = np.array([[0.0, 1.0], [-wf * wf, -2.0 * cfg.zeta_f * wf]])
     B = np.array([[0.0], [wf * wf]])
     C = np.array([[cfg.gain, 0.0]])
-    return LinearSystem(A, B, C, np.zeros((1, 1)),
-                        ["eta", "etadot"], ["y"], ["u"])
+    return LinearSystem(A, B, C, np.zeros((1, 1)))
 
 
 def close_loop(plant_sys: LinearSystem, ctrl_sys: LinearSystem) -> LinearSystem:
-    """Positive feedback interconnection.
+    """Positive feedback interconnection of two strictly proper systems.
 
-    The controller is driven by the plant output; the plant input is the
-    controller output plus an external disturbance d. The result maps d to
-    the plant output.
+    The controller is driven by the plant output y = Cp xp; the plant input
+    is the controller output Cc xc plus an external disturbance d. The
+    result maps d to y.
     """
-    if plant_sys.n_inputs != ctrl_sys.n_outputs:
-        raise InvalidInputError("controller outputs must match plant inputs")
-    if ctrl_sys.n_inputs != plant_sys.n_outputs:
-        raise InvalidInputError("controller inputs must match plant outputs")
-    Ap, Bp, Cp, Dp = plant_sys.A, plant_sys.B, plant_sys.C, plant_sys.D
-    Ac, Bc, Cc, Dc = ctrl_sys.A, ctrl_sys.B, ctrl_sys.C, ctrl_sys.D
-    p = plant_sys.n_outputs
-    E = np.eye(p) - Dp @ Dc
-    try:
-        S = np.linalg.inv(E)
-    except np.linalg.LinAlgError:
+    if plant_sys.D[0, 0] != 0.0 or ctrl_sys.D[0, 0] != 0.0:
         raise InvalidInputError(
-            "algebraic loop: I - Dp Dc is singular, the interconnection is "
-            "ill-posed") from None
-    # y = S (Cp xp + Dp Cc xc + Dp d); u = d + Cc xc + Dc y
-    DcS = Dc @ S
-    A = np.block([
-        [Ap + Bp @ DcS @ Cp, Bp @ (Cc + DcS @ Dp @ Cc)],
-        [Bc @ S @ Cp, Ac + Bc @ S @ Dp @ Cc],
-    ])
-    B = np.vstack([Bp @ (np.eye(plant_sys.n_inputs) + DcS @ Dp), Bc @ S @ Dp])
-    C = np.hstack([S @ Cp, S @ Dp @ Cc])
-    D = S @ Dp
-    return LinearSystem(
-        A, B, C, D,
-        plant_sys.state_labels + ctrl_sys.state_labels,
-        ["d"], plant_sys.output_labels,
-    )
+            "close_loop needs strictly proper systems (D = 0)")
+    Ap, Bp, Cp = plant_sys.A, plant_sys.B, plant_sys.C
+    Ac, Bc, Cc = ctrl_sys.A, ctrl_sys.B, ctrl_sys.C
+    A = np.block([[Ap, Bp @ Cc], [Bc @ Cp, Ac]])
+    B = np.vstack([Bp, np.zeros((ctrl_sys.n_states, 1))])
+    C = np.hstack([Cp, np.zeros((1, ctrl_sys.n_states))])
+    return LinearSystem(A, B, C, np.zeros((1, 1)))
 
 
 @dataclass

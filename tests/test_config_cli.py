@@ -2,16 +2,19 @@ import filecmp
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import piezodamp as pd
 from piezodamp import cli
-from piezodamp.errors import ConfigError, NumericalError
+from piezodamp.errors import ConfigError, NumericalError, PiezodampError
 
 SUBCOMMANDS = ["modes", "coupling", "place", "ppf-design", "sweep"]
 
@@ -24,7 +27,6 @@ def test_load_config_gripper(gripper_ini):
     assert cfg.ppf_zeta == 0.3
     assert cfg.gains == [1500.0, 3000.0, 4500.0, 6000.0]
     assert cfg.band_hz == (65.0, 90.0)
-    assert cfg.target_mode == 2
     assert cfg.placement_step == 0.01
     assert cfg.mode_weights == {1: 1.0, 2: 1.0}
     assert cfg.patch.z_offset == pytest.approx(0.00125)
@@ -94,12 +96,72 @@ def test_config_errors(tmp_path, gripper_ini):
     with pytest.raises(ConfigError, match="source"):
         pd.load_config(path)
 
+    # '%' is literal text, not configparser interpolation syntax.
+    path = _minimal_ini(tmp_path)
+    path.write_text(path.read_text().replace("length_m = 0.1",
+                                             "length_m = 5%"))
+    with pytest.raises(ConfigError, match=r"\[patch\] length_m .* not a number"):
+        pd.load_config(path)
+
+    path = _minimal_ini(tmp_path)
+    path.write_bytes(path.read_bytes().replace(b"zeta = 0.3", b"zeta = 0.3\xe9"))
+    with pytest.raises(ConfigError, match="not UTF-8 text: cannot decode byte 0xe9"):
+        pd.load_config(path)
+
+    for old, new, where in [
+            ("freq_hz = 3.5", "freq_hz = nan", r"\[ppf\] freq_hz"),
+            ("band_hz = 0.4, 0.7", "band_hz = nan, 0.7", r"\[analysis\] band_hz"),
+            ("gains = 1, 2", "gains = 1, inf", r"\[ppf\] gains"),
+            ("EI_Nm2 = 1.0", "EI_Nm2 = -inf", r"\[structure\] EI_Nm2"),
+            ("step_m = 0.1", "step_m = 0.1\nmode_weights = 1:nan, 2:1.0",
+             r"\[analysis\] mode_weights")]:
+        path = _minimal_ini(tmp_path)
+        path.write_text(path.read_text().replace(old, new))
+        with pytest.raises(ConfigError, match=where + ".* is not finite"):
+            pd.load_config(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=600))
+def test_load_config_arbitrary_bytes_raise_only_toolkit_errors(
+        tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("bytes") / "project.ini"
+    path.write_bytes(data)
+    try:
+        pd.load_config(path)
+    except PiezodampError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_load_config_with_one_arbitrary_value_raises_only_toolkit_errors(
+        tmp_path_factory, gripper_ini, gripper_shapes_csv, data):
+    lines = gripper_ini.read_text().splitlines()
+    value_lines = [i for i, line in enumerate(lines)
+                   if "=" in line and not line.lstrip().startswith("#")]
+    i = data.draw(st.sampled_from(value_lines), label="line")
+    key = lines[i].split("=", 1)[0]
+    lines[i] = key + "= " + data.draw(st.text(max_size=40), label="value")
+    root = tmp_path_factory.mktemp("value")
+    shutil.copy(gripper_shapes_csv, root / gripper_shapes_csv.name)
+    path = root / "project.ini"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        pd.load_config(path)
+    except PiezodampError:
+        pass
+
 
 def test_config_measured_missing_file(tmp_path):
     structure = ("[structure]\nsource = measured\nshapes_file = gone.csv\n"
                  "frequencies_hz = 10\n")
     path = _minimal_ini(tmp_path, structure=structure)
     with pytest.raises(ConfigError, match="gone.csv"):
+        pd.load_config(path)
+    # A name longer than the file system allows is missing too, not an OSError.
+    path = _minimal_ini(tmp_path, structure=structure.replace("gone", "g" * 300))
+    with pytest.raises(ConfigError, match="does not exist"):
         pd.load_config(path)
 
 
@@ -181,6 +243,23 @@ def test_cli_sweep_solves_each_gain_once(gripper_ini, tmp_path, monkeypatch):
     assert _run(["sweep", "--config", str(gripper_ini), "--out-dir",
                  str(out), "--quiet"]) == 0
     assert len(solves) == len(list(out.glob("bode_*.csv"))) == 4
+
+
+def test_cli_place_scans_once(gripper_ini, tmp_path, monkeypatch):
+    # Every scan of the candidate grid goes through one slope-difference
+    # evaluation, whoever calls scan_objective.
+    from piezodamp import placement
+    scans = []
+    scan = placement.delta_thetas
+
+    def counting_scan(*args):
+        scans.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(placement, "delta_thetas", counting_scan)
+    assert _run(["place", "--config", str(gripper_ini), "--out-dir",
+                 str(tmp_path), "--quiet"]) == 0
+    assert len(scans) == 1
 
 
 def test_cli_deterministic_outputs(gripper_ini, gripper_frf_csv, tmp_path):

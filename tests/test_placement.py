@@ -103,6 +103,10 @@ def test_result_couplings_match_scan(unit_model, material, patch):
         for j, c in enumerate(row):
             assert c.k2 == scan.k2[i, j]
             assert c.mode_index == j + 1
+    # The result carries the scan it picked from.
+    for name in ("x_starts", "k2", "objective"):
+        np.testing.assert_array_equal(getattr(result.scan, name),
+                                      getattr(scan, name))
 
 
 def test_problem_validation(unit_model, material, patch):
