@@ -13,8 +13,7 @@ from .errors import (BandwidthError, ConfigError, DegeneratePlantError,
                      ParseError, PiezodampError, PlacementError)
 from .modal import (BeamProperties, ModalModel, Mode, analytic_cantilever_modes,
                     assemble_beam_matrices, cantilever_flexibility,
-                    cantilever_root, fe_beam_modes, load_measured_modes,
-                    slope_profile)
+                    cantilever_root, fe_beam_modes, load_measured_modes)
 from .piezo import (CouplingResult, PatchGeometry, PiezoMaterial,
                     coupling_factor, coupling_from_frequencies, delta_thetas,
                     k31_squared)
@@ -37,7 +36,7 @@ __all__ = [
     "ParseError", "PiezodampError", "PlacementError",
     "BeamProperties", "ModalModel", "Mode", "analytic_cantilever_modes",
     "assemble_beam_matrices", "cantilever_flexibility", "cantilever_root",
-    "fe_beam_modes", "load_measured_modes", "slope_profile",
+    "fe_beam_modes", "load_measured_modes",
     "CouplingResult", "PatchGeometry", "PiezoMaterial", "coupling_factor",
     "coupling_from_frequencies", "delta_thetas", "k31_squared",
     "PlacementProblem", "PlacementResult", "PlacementScan",

@@ -11,13 +11,17 @@ import numpy as np
 
 # Chunk bound keeps the batched solve below ~100 MB of scratch space.
 _SOLVE_CHUNK = 8192
+_EPS = np.finfo(np.float64).eps
 
 
 def frf_solve(A, b, c, d, omegas):
     """Evaluate c (jw I - A)^-1 b + d at each angular frequency.
 
     Returns (values, flagged); singular points come back as inf with the
-    flag set instead of raising, so a sweep can skip them.
+    flag set instead of raising, so a sweep can skip them. A point is
+    singular when LU meets a zero pivot, or when the growth of the solution
+    x, |jw I - A|_1 |x|_1 / |b|_1, exceeds 1 / eps: it bounds the condition
+    number from below, so jw I - A is then singular to working precision.
     """
     A = np.asarray(A, dtype=np.float64)
     omegas = np.asarray(omegas, dtype=np.float64)
@@ -29,6 +33,10 @@ def frf_solve(A, b, c, d, omegas):
     bc = np.asarray(b, dtype=np.complex128)
     cc = np.asarray(c, dtype=np.complex128)
     d = float(d)
+    # Column sums of |jw I - A| are those of the off-diagonal |A| plus
+    # |jw - a_jj|; a system without states has none, and norm 0.
+    diag = np.diag(A)
+    off_diag = np.abs(A).sum(axis=0) - np.abs(diag)
     for lo in range(0, nf, _SOLVE_CHUNK):
         w = omegas[lo:lo + _SOLVE_CHUNK]
         M = 1j * w[:, None, None] * eye - A
@@ -49,7 +57,10 @@ def frf_solve(A, b, c, d, omegas):
         # nan, which the flag pass below replaces. Silence that transient.
         with np.errstate(invalid="ignore"):
             vals = X[:, :, 0] @ cc + d
-        bad = ~np.isfinite(vals)
+        norm_m = (off_diag + np.hypot(w[:, None], diag)).max(axis=1,
+                                                               initial=0.0)
+        growth = norm_m * np.abs(X[:, :, 0]).sum(axis=1)
+        bad = ~np.isfinite(vals) | (growth * _EPS > np.abs(bc).sum())
         vals[bad] = np.inf
         out[lo:lo + w.size] = vals
         flagged[lo:lo + w.size] = bad

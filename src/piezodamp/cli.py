@@ -16,15 +16,15 @@ from pathlib import Path
 import numpy as np
 
 from .config import ProjectConfig, load_config
-from .errors import (BandwidthError, ConfigError, InvalidInputError,
-                     NumericalError, ParseError)
+from .errors import (ConfigError, InvalidInputError, NumericalError,
+                     PiezodampError)
 from .frf import (bode_table, find_peaks, gain_sweep, half_power_damping,
                   load_frf_csv)
-from .modal import TWO_PI
+from .modal import SOURCE_MEASURED, TWO_PI
 from .piezo import coupling_factor
 from .placement import PlacementProblem, optimize_placement
 from .ppf import (LinearSystem, PPFConfig, build_plant, critical_gain,
-                  ppf_controller)
+                  plant_system, ppf_controller)
 
 
 def _fmt(v) -> str:
@@ -143,18 +143,15 @@ def cmd_place(args) -> int:
                                _mode_weights(cfg, model.n_modes),
                                cfg.placement_step, cfg.n_patches, cfg.min_gap)
     result = optimize_placement(problem)
-    scan = result.scan
-    k2_cols = [f"K2_mode{m.index}" for m in model.modes]
-    _write_columns(out / "scan.csv", ["x_start_m", "objective"] + k2_cols,
+    scan, rows = result.scan, result.rows
+    header = (["x_start_m", "objective"]
+              + [f"K2_mode{m.index}" for m in model.modes])
+    _write_columns(out / "scan.csv", header,
                    [scan.x_starts, scan.objective] + list(scan.k2.T))
-    placed_rows = []
-    for pos, couplings in zip(result.positions, result.couplings):
-        i = int(np.flatnonzero(scan.x_starts == pos)[0])
-        placed_rows.append([_fmt(pos), _fmt(scan.objective[i])]
-                           + [_fmt(c.k2) for c in couplings])
-    _write_csv(out / "placement.csv", ["x_start_m", "objective"] + k2_cols,
-               placed_rows)
-    if any(c.relative for row in result.couplings for c in row):
+    _write_columns(out / "placement.csv", header,
+                   [scan.x_starts[rows], scan.objective[rows]]
+                   + list(scan.k2[rows].T))
+    if model.source == SOURCE_MEASURED:
         _say(args, "note: unit-peak shapes, coupling values are comparative only")
     _say(args, f"scanned {scan.x_starts.size} candidates, step "
                f"{_fmt(problem.step)} m")
@@ -165,17 +162,12 @@ def cmd_place(args) -> int:
     return 0
 
 
-def _plant_from_config(cfg: ProjectConfig, model):
-    indices = [m.index for m in model.modes]
-    return build_plant(model, cfg.patch, cfg.material, indices)
-
-
 def cmd_ppf_design(args) -> int:
     """Size the filter against the plant and report the critical gain."""
     cfg = _require_config(args)
     out = _out_dir(args)
     model = cfg.build_model()
-    plant, psys = _plant_from_config(cfg, model)
+    plant = build_plant(model, cfg.patch, [m.index for m in model.modes])
     filt = PPFConfig.from_hz(cfg.ppf_freq_hz, cfg.ppf_zeta)
     gcrit = critical_gain(plant, filt)
     _write_csv(out / "ppf_summary.csv",
@@ -186,7 +178,7 @@ def cmd_ppf_design(args) -> int:
             for i in range(plant.n_modes)]
     _write_csv(out / "plant_modes.csv",
                ["mode", "freq_hz", "zeta", "influence"], rows)
-    write_state_space_csv(psys, out / "plant_ss.csv")
+    write_state_space_csv(plant_system(plant), out / "plant_ss.csv")
     write_state_space_csv(ppf_controller(PPFConfig(filt.omega_f, filt.zeta_f,
                                                    1.0)),
                           out / "controller_ss.csv")
@@ -206,7 +198,7 @@ def cmd_sweep(args) -> int:
     if not cfg.gains:
         raise ConfigError("[ppf] gains is required for the sweep command")
     model = cfg.build_model()
-    plant, _ = _plant_from_config(cfg, model)
+    plant = build_plant(model, cfg.patch, [m.index for m in model.modes])
     filt = PPFConfig.from_hz(cfg.ppf_freq_hz, cfg.ppf_zeta)
     freqs = np.linspace(cfg.band_hz[0], cfg.band_hz[1], cfg.n_freq)
     rows = gain_sweep(plant, filt, cfg.gains, freqs_hz=freqs,
@@ -326,12 +318,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParseError, InvalidInputError, BandwidthError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
+    except PiezodampError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

@@ -13,9 +13,6 @@ from .modal import TWO_PI, _read_csv
 from .ppf import (LinearSystem, ModalPlant, PPFConfig, close_loop,
                   plant_system, ppf_controller, stability)
 
-DEFAULT_GRID_POINTS = 2001
-DEFAULT_BAND_FACTOR = 0.2
-
 
 @dataclass
 class FRF:
@@ -303,15 +300,11 @@ def half_power_damping(frf: FRF, peak_index: int) -> DampingEstimate:
     return DampingEstimate(float(f[i]), peak, float(f_lo), float(f_hi))
 
 
-def default_frequency_grid(center_hz: float,
-                           n_points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
-    """Uniform grid over [0.8, 1.2] times the target frequency."""
+def default_frequency_grid(center_hz: float) -> np.ndarray:
+    """Uniform 2001-point grid over [0.8, 1.2] times the target frequency."""
     if center_hz <= 0.0:
         raise InvalidInputError("center frequency must be positive")
-    if n_points < 2:
-        raise InvalidInputError("grid needs at least two points")
-    return np.linspace((1.0 - DEFAULT_BAND_FACTOR) * center_hz,
-                       (1.0 + DEFAULT_BAND_FACTOR) * center_hz, n_points)
+    return np.linspace(0.8 * center_hz, 1.2 * center_hz, 2001)
 
 
 @dataclass

@@ -23,8 +23,6 @@ TWO_PI = 2.0 * np.pi
 SOURCE_ANALYTIC = "analytic"
 SOURCE_FE = "finite_element"
 SOURCE_MEASURED = "measured"
-NORM_MASS = "mass_normalized"
-NORM_UNIT_PEAK = "unit_peak"
 
 DEFAULT_DAMPING = 0.005
 
@@ -71,6 +69,11 @@ class Mode:
             raise InvalidInputError("mode index is 1-based")
         if self.omega <= 0.0:
             raise InvalidInputError(f"mode {self.index}: omega must be positive")
+        w = float(self.omega)
+        if not math.isfinite(w * w):
+            raise InvalidInputError(
+                f"mode {self.index}: omega = {w:g} rad/s is not finite or "
+                "its square overflows")
         if self.modal_mass <= 0.0:
             raise InvalidInputError(f"mode {self.index}: modal mass must be positive")
         if not 0.0 <= self.zeta < 1.0:
@@ -85,12 +88,15 @@ class Mode:
 
 @dataclass
 class ModalModel:
-    """A set of modes sharing one sampling line along the structure."""
+    """A set of modes sharing one sampling line along the structure.
+
+    The normalization follows from ``source``: measured shapes are scaled to
+    unit peak, analytic and finite element modes are mass normalized.
+    """
 
     grid: np.ndarray
     modes: list[Mode]
     source: str
-    normalization: str
 
     def __post_init__(self):
         x = np.asarray(self.grid, dtype=float)
@@ -105,8 +111,6 @@ class ModalModel:
             raise InvalidInputError("model must contain at least one mode")
         if self.source not in (SOURCE_ANALYTIC, SOURCE_FE, SOURCE_MEASURED):
             raise InvalidInputError(f"unknown model source {self.source!r}")
-        if self.normalization not in (NORM_MASS, NORM_UNIT_PEAK):
-            raise InvalidInputError(f"unknown normalization {self.normalization!r}")
         omegas = [m.omega for m in self.modes]
         if any(b <= a for a, b in zip(omegas, omegas[1:])):
             raise InvalidInputError("modes must be sorted by strictly increasing omega")
@@ -213,7 +217,7 @@ def analytic_cantilever_modes(props: BeamProperties, n_modes: int,
             theta = -theta
         modes.append(Mode(i, float(omega), 1.0, props.structural_damping,
                           phi, theta))
-    return ModalModel(x, modes, SOURCE_ANALYTIC, NORM_MASS)
+    return ModalModel(x, modes, SOURCE_ANALYTIC)
 
 
 def beam_element_matrices(EI: float, rhoA: float, le: float):
@@ -352,7 +356,7 @@ def fe_beam_modes(props: BeamProperties, n_elements: int,
             theta = -theta
         modes.append(Mode(i + 1, float(omegas[i]), 1.0,
                           props.structural_damping, phi, theta))
-    return ModalModel(x, modes, SOURCE_FE, NORM_MASS)
+    return ModalModel(x, modes, SOURCE_FE)
 
 
 # A uniform cantilever stops within about 15 passes at any mesh and mode count.
@@ -489,6 +493,8 @@ def load_measured_modes(path, frequencies_hz, damping=None,
     (default 0.005). Shapes are scaled to unit peak and modal mass is pinned
     to 1, so coupling factors computed from this model are comparative only.
     ``smooth`` applies a 3-point moving average before normalization.
+    Slopes are finite differences of the normalized shapes: central in the
+    interior and one-sided second order at the ends, exact for quadratics.
     """
     freqs = [float(f) for f in np.atleast_1d(frequencies_hz)]
     if any(f <= 0.0 for f in freqs):
@@ -536,22 +542,6 @@ def load_measured_modes(path, frequencies_hz, damping=None,
                 f"{path}: column {header[col + 1]!r} is identically zero")
         phi = shapes[col] / peak
         modes.append(Mode(rank + 1, TWO_PI * freqs[col], 1.0, zetas[col],
-                          phi, np.zeros_like(phi)))
-    model = ModalModel(x, modes, SOURCE_MEASURED, NORM_UNIT_PEAK)
-    for m in model.modes:
-        slope_profile(model, m.index)
-    return model
+                          phi, np.gradient(phi, x, edge_order=2)))
+    return ModalModel(x, modes, SOURCE_MEASURED)
 
-
-def slope_profile(model: ModalModel, mode_index: int) -> np.ndarray:
-    """Finite-difference slope of one mode shape, stored back into the mode.
-
-    Central differences in the interior and one-sided second-order stencils
-    at the ends; exact for quadratics. Needs at least 3 grid points.
-    """
-    if model.grid.size < 3:
-        raise InvalidInputError("slope profile needs at least 3 grid points")
-    m = model.mode(mode_index)
-    theta = np.gradient(m.phi, model.grid, edge_order=2)
-    m.theta = theta
-    return theta

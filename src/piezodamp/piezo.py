@@ -140,13 +140,26 @@ def delta_thetas(model: ModalModel, patch_length: float,
 
 def coupling_coefficients(model: ModalModel, patch: PatchGeometry,
                           mat: PiezoMaterial) -> np.ndarray:
-    """Position-independent multiplier c_i per mode, with K2_i = c_i dtheta_i^2."""
+    """Position-independent multiplier c_i per mode, with K2_i = c_i dtheta_i^2.
+
+    Raises an input error when a multiplier is not finite, which only absurd
+    patch dimensions or material constants produce.
+    """
     k2m = k31_squared(mat)
-    geom = (mat.young_modulus * patch.width * patch.thickness
-            * patch.z_offset ** 2 / patch.length)
+    try:
+        geom = (mat.young_modulus * patch.width * patch.thickness
+                * patch.z_offset ** 2 / patch.length)
+    except OverflowError:
+        geom = np.inf
     material_term = k2m / (1.0 - k2m)
-    return np.array([material_term * geom / (m.modal_mass * m.omega * m.omega)
+    coef = np.array([material_term * geom / (m.modal_mass * m.omega * m.omega)
                      for m in model.modes])
+    if not np.all(np.isfinite(coef)):
+        raise InvalidInputError(
+            f"coupling multiplier is not finite for a {patch.thickness:g} m "
+            f"thick, {patch.width:g} m wide patch; check the patch and "
+            "material data")
+    return coef
 
 
 def coupling_factor(model: ModalModel, patch: PatchGeometry,

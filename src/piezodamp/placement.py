@@ -8,14 +8,14 @@ a pairwise centre-to-centre clearance of patch length plus ``min_gap``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, PlacementError
 from .modal import ModalModel
-from .piezo import (CouplingResult, PatchGeometry, PiezoMaterial,
-                    coupling_coefficients, coupling_factor, delta_thetas)
+from .piezo import (PatchGeometry, PiezoMaterial, coupling_coefficients,
+                    delta_thetas)
 
 
 @dataclass
@@ -62,13 +62,16 @@ class PlacementScan:
 
 @dataclass
 class PlacementResult:
-    """Chosen positions in ascending order with their per-mode couplings,
-    and the scan they were picked from."""
+    """Scan rows of the chosen positions in ascending x_start, their total
+    objective, and the scan they were picked from."""
 
-    positions: list[float]
-    couplings: list[list[CouplingResult]]
+    rows: list[int]
     objective: float
     scan: PlacementScan
+
+    @property
+    def positions(self) -> list[float]:
+        return [float(self.scan.x_starts[j]) for j in self.rows]
 
 
 def candidate_positions(problem: PlacementProblem) -> np.ndarray:
@@ -120,13 +123,4 @@ def optimize_placement(problem: PlacementProblem) -> PlacementResult:
             f"only {len(chosen)} positions with pairwise clearance "
             f"{clearance:g} m fit; {problem.n_patches} patches requested")
     chosen.sort(key=lambda j: scan.x_starts[j])
-    positions = [float(scan.x_starts[j]) for j in chosen]
-    couplings = []
-    for pos in positions:
-        placed = replace(problem.patch, x_start=pos)
-        couplings.append([
-            coupling_factor(problem.model, placed, problem.material, m.index)
-            for m in problem.model.modes
-        ])
-    objective = float(np.sum(scan.objective[chosen]))
-    return PlacementResult(positions, couplings, objective, scan)
+    return PlacementResult(chosen, float(np.sum(scan.objective[chosen])), scan)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DegeneratePlantError, InvalidInputError, NumericalError
 from .modal import ModalModel, TWO_PI
-from .piezo import PatchGeometry, PiezoMaterial, coupling_factor
+from .piezo import PatchGeometry, delta_thetas
 
 
 @dataclass
@@ -128,29 +128,27 @@ def plant_system(plant: ModalPlant) -> LinearSystem:
     return LinearSystem(A, B, C, np.zeros((1, 1)))
 
 
-def build_plant(model: ModalModel, patch: PatchGeometry, mat: PiezoMaterial,
-                selected_modes) -> tuple[ModalPlant, LinearSystem]:
-    """Plant over the selected mode indices with influences normalized so the
-    strongest-coupled mode has |b| = 1.
+def build_plant(model: ModalModel, patch: PatchGeometry,
+                selected_modes) -> ModalPlant:
+    """Plant over the selected mode indices with influences b_i, the slope
+    differences across the patch at patch.x_start, normalized so the
+    strongest-coupled mode has |b| = 1. The patch material only scales the
+    loop gain, so it does not enter.
 
     Raises a degenerate-plant error when every selected mode has zero slope
     difference across the patch (nothing is controllable).
     """
-    idxs = list(selected_modes)
-    if not idxs:
+    modes = [model.mode(i) for i in selected_modes]
+    if not modes:
         raise InvalidInputError("selected_modes must not be empty")
-    results = [coupling_factor(model, patch, mat, i) for i in idxs]
-    dth = np.array([r.delta_theta for r in results])
+    dth = delta_thetas(model, patch.length, [patch.x_start])[0]
+    dth = dth[[m.index - 1 for m in modes]]
     peak = float(np.max(np.abs(dth)))
     if peak == 0.0:
         raise DegeneratePlantError(
             "every selected mode has zero slope difference across the patch")
-    plant = ModalPlant(
-        np.array([model.mode(i).omega for i in idxs]),
-        np.array([model.mode(i).zeta for i in idxs]),
-        dth / peak,
-    )
-    return plant, plant_system(plant)
+    return ModalPlant(np.array([m.omega for m in modes]),
+                      np.array([m.zeta for m in modes]), dth / peak)
 
 
 def ppf_controller(cfg: PPFConfig) -> LinearSystem:

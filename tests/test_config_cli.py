@@ -278,10 +278,11 @@ def test_cli_deterministic_outputs(gripper_ini, gripper_frf_csv, tmp_path):
     assert mismatch == [] and errors == []
 
 
+@pytest.mark.filterwarnings("error")
 def test_cli_gripper_outputs_match_golden_hashes(gripper_ini, gripper_frf_csv,
                                                 tmp_path):
     # fixtures/gripper/expected.sha256 pins every gripper output byte for
-    # byte, in the format ``sha256sum -c`` reads.
+    # byte, in the format ``sha256sum -c`` reads. Any warning fails the run.
     out = tmp_path / "out"
     for sub in SUBCOMMANDS:
         assert _run([sub, "--config", str(gripper_ini), "--out-dir", str(out),
@@ -340,6 +341,51 @@ def test_cli_exit_code_numerical_error(monkeypatch, gripper_ini, tmp_path,
                  "--out-dir", str(tmp_path)])
     assert code == 2
     assert "synthetic failure" in capsys.readouterr().err
+
+
+_ERROR_CLASSES = [name for name in pd.__all__
+                  if isinstance(getattr(pd, name), type)
+                  and issubclass(getattr(pd, name), Exception)]
+
+
+@pytest.mark.parametrize("name", _ERROR_CLASSES)
+def test_cli_maps_every_error_class_to_its_exit_code(name, monkeypatch,
+                                                     gripper_ini, tmp_path,
+                                                     capsys):
+    error = getattr(pd, name)
+
+    def boom(args):
+        raise error("synthetic failure")
+
+    monkeypatch.setattr(cli, "cmd_modes", boom)
+    code = _run(["modes", "--config", str(gripper_ini),
+                 "--out-dir", str(tmp_path)])
+    assert code == (2 if issubclass(error, NumericalError) else 1)
+    assert "synthetic failure" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("old, new, subcommands", [
+    # The patch offset squared overflows in the coupling multiplier.
+    ("thickness_m = 0.0005", "thickness_m = 1e300", ["coupling", "place"]),
+    # The mode's omega squared overflows.
+    ("frequencies_hz = 58.0, 76.0", "frequencies_hz = 58.0, 1e300",
+     SUBCOMMANDS),
+])
+def test_cli_absurd_finite_value_exits_1(gripper_ini, tmp_path, capsys, old,
+                                         new, subcommands):
+    project = tmp_path / "project"
+    shutil.copytree(gripper_ini.parent, project)
+    ini = project / gripper_ini.name
+    text = ini.read_text()
+    assert old in text
+    ini.write_text(text.replace(old, new))
+    for sub in subcommands:
+        code = _run([sub, "--config", str(ini), "--out-dir",
+                     str(tmp_path / "out"), "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 1, sub
+        assert err.startswith("error: ") and "Traceback" not in err, sub
 
 
 def test_cli_exit_code_io_error(gripper_ini, tmp_path, capsys):

@@ -348,6 +348,22 @@ def test_closed_loop_frf_on_an_undamped_mode():
     assert got.values[1] == pytest.approx(-1.0 / K, rel=1e-14)
 
 
+@pytest.mark.filterwarnings("error")
+def test_frf_of_flags_a_singular_sample_without_a_zero_pivot():
+    # At 64 Hz jw I - A is singular to working precision, but LU meets no
+    # exact zero pivot there; the condition test flags it all the same.
+    plant = pd.ModalPlant(2.0 * np.pi * np.array([64.0, 90.0]), [0.0, 0.01],
+                          [1.0, 0.5])
+    cfg = pd.PPFConfig(2.0 * np.pi * 70.0, 0.3, 0.0)
+    grid = np.array([50.0, 63.9, 64.0, 64.1, 75.3, 90.0, 123.456])
+    got = pd.frf_of(pd.close_loop(pd.plant_system(plant),
+                                  pd.ppf_controller(cfg)), grid)
+    ref = pd.closed_loop_frf(plant, cfg, grid)
+    np.testing.assert_array_equal(got.flagged, ref.flagged)
+    assert got.flagged.tolist() == [False, False, True, False, False, False,
+                                    False]
+
+
 def test_closed_loop_frf_validates_grid():
     plant = _sdof()
     cfg = pd.PPFConfig(2.0 * np.pi * 76.7, 0.3)

@@ -253,7 +253,6 @@ def test_load_measured_round_trip(tmp_path, unit_model):
     freqs = [unit_model.modes[0].freq_hz, unit_model.modes[1].freq_hz]
     model = pd.load_measured_modes(f, freqs, [0.01, 0.02])
     assert model.source == "measured"
-    assert model.normalization == "unit_peak"
     assert model.n_modes == 2
     for m, fz, z in zip(model.modes, freqs, [0.01, 0.02]):
         assert m.freq_hz == pytest.approx(fz, rel=1e-15)
@@ -374,56 +373,46 @@ def test_load_measured_skips_comments(tmp_path, gripper_shapes_csv):
     assert model.length == pytest.approx(0.4)
 
 
-def test_slope_profile_exact_on_quadratic():
-    x = np.array([0.0, 0.1, 0.3, 0.6, 1.0])
-    phi = 3.0 * x * x - 2.0 * x
-    mode = pd.Mode(1, 1.0, 1.0, 0.0, phi, np.zeros_like(phi))
-    model = pd.ModalModel(x, [mode], "analytic", "mass_normalized")
-    theta = pd.slope_profile(model, 1)
-    np.testing.assert_allclose(theta, 6.0 * x - 2.0, rtol=1e-12, atol=1e-12)
-    assert model.modes[0].theta is theta
+def test_load_measured_slope_exact_on_quadratic(tmp_path):
+    # Non-uniform grid; the shape already has unit peak (at x = 1).
+    x = np.array([0.0, 0.1, 0.3, 0.35, 0.6, 0.7, 0.85, 1.0])
+    f = tmp_path / "shapes.csv"
+    _write_shapes(f, x, [3.0 * x * x - 2.0 * x], header="x_m,mode1")
+    model = pd.load_measured_modes(f, [1.0])
+    np.testing.assert_allclose(model.modes[0].theta, 6.0 * x - 2.0,
+                               rtol=1e-12, atol=1e-12)
 
 
-def test_slope_profile_linearity():
+def test_load_measured_slope_linearity(tmp_path):
     rng = np.random.default_rng(17)
     x = np.linspace(0.0, 1.0, 33)
     fa = rng.standard_normal(33)
     fb = rng.standard_normal(33)
     combo = 2.5 * fa - 1.25 * fb
-
-    def slope(vec):
-        mode = pd.Mode(1, 1.0, 1.0, 0.0, vec, np.zeros_like(vec))
-        model = pd.ModalModel(x, [mode], "analytic", "mass_normalized")
-        return pd.slope_profile(model, 1)
-
-    np.testing.assert_allclose(slope(combo),
-                               2.5 * slope(fa) - 1.25 * slope(fb),
+    f = tmp_path / "shapes.csv"
+    _write_shapes(f, x, [fa, fb, combo], header="x_m,mode1,mode2,mode3")
+    model = pd.load_measured_modes(f, [1.0, 2.0, 3.0])
+    # Undo the unit-peak scaling to compare the raw columns' slopes.
+    sa, sb, sc = (m.theta * np.max(np.abs(col))
+                  for m, col in zip(model.modes, (fa, fb, combo)))
+    np.testing.assert_allclose(sc, 2.5 * sa - 1.25 * sb,
                                rtol=1e-12, atol=1e-12)
-
-
-def test_slope_profile_needs_three_points():
-    x = np.array([0.0, 1.0])
-    mode = pd.Mode(1, 1.0, 1.0, 0.0, np.array([0.0, 1.0]), np.zeros(2))
-    model = pd.ModalModel(x, [mode], "analytic", "mass_normalized")
-    with pytest.raises(InvalidInputError):
-        pd.slope_profile(model, 1)
 
 
 def test_modal_model_validation(unit_model):
     m = unit_model.modes[0]
     with pytest.raises(InvalidInputError, match="start at x = 0"):
-        pd.ModalModel(unit_model.grid + 1.0, [m], "analytic",
-                      "mass_normalized")
+        pd.ModalModel(unit_model.grid + 1.0, [m], "analytic")
     with pytest.raises(InvalidInputError, match="increasing"):
         grid = unit_model.grid.copy()
         grid[5] = grid[4]
-        pd.ModalModel(grid, [m], "analytic", "mass_normalized")
+        pd.ModalModel(grid, [m], "analytic")
     with pytest.raises(InvalidInputError, match="source"):
-        pd.ModalModel(unit_model.grid, [m], "guessed", "mass_normalized")
+        pd.ModalModel(unit_model.grid, [m], "guessed")
     with pytest.raises(InvalidInputError, match="sorted"):
         pd.ModalModel(unit_model.grid,
                       [unit_model.modes[1], unit_model.modes[0]],
-                      "analytic", "mass_normalized")
+                      "analytic")
     with pytest.raises(InvalidInputError, match="index"):
         unit_model.mode(0)
     with pytest.raises(InvalidInputError, match="index"):

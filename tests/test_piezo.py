@@ -40,7 +40,7 @@ def _ramp_model(omega=2.0 * np.pi * 10.0):
     phi = x * x
     theta = 2.0 * x
     mode = pd.Mode(1, omega, 1.0, 0.01, phi, theta)
-    return pd.ModalModel(x, [mode], "analytic", "mass_normalized")
+    return pd.ModalModel(x, [mode], "analytic")
 
 
 def test_coupling_factor_hand_computed(material):
@@ -78,8 +78,7 @@ def test_coupling_scales_with_shape_squared(material, unit_model):
         pd.Mode(m.index, m.omega, m.modal_mass, m.zeta, c * m.phi,
                 c * m.theta) for m in unit_model.modes
     ]
-    scaled = pd.ModalModel(unit_model.grid, scaled_modes, "analytic",
-                           "mass_normalized")
+    scaled = pd.ModalModel(unit_model.grid, scaled_modes, "analytic")
     r = pd.coupling_factor(scaled, patch, material, 1)
     assert r.k2 == pytest.approx(c * c * base.k2, rel=1e-13)
 
@@ -96,8 +95,7 @@ def test_coupling_units_si_vs_mm(material, unit_model):
         pd.Mode(m.index, m.omega, m.modal_mass * 1e-3, m.zeta, m.phi,
                 m.theta / mm) for m in unit_model.modes
     ]
-    model_mm = pd.ModalModel(unit_model.grid * mm, modes_mm, "analytic",
-                             "mass_normalized")
+    model_mm = pd.ModalModel(unit_model.grid * mm, modes_mm, "analytic")
     mat_mm = pd.PiezoMaterial(material.d31, material.s11E * 1e6,
                               material.epsT * 1e-6)
     patch_mm = pd.PatchGeometry(0.2 * mm, 0.02 * mm, 0.0005 * mm,

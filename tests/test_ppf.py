@@ -56,29 +56,28 @@ def test_ppf_config_validation():
     assert cfg.omega_f == pytest.approx(2.0 * np.pi * 76.7, rel=1e-15)
 
 
-def test_build_plant_normalizes_influence(unit_model, material, patch):
-    plant, sys_ = pd.build_plant(unit_model, patch, material, [1, 2, 3])
+def test_build_plant_normalizes_influence(unit_model, patch):
+    plant = pd.build_plant(unit_model, patch, [1, 2, 3])
     assert np.max(np.abs(plant.b)) == 1.0
     assert plant.n_modes == 3
-    assert sys_.n_states == 6
     np.testing.assert_array_equal(plant.omegas,
                                   [m.omega for m in unit_model.modes[:3]])
 
 
-def test_build_plant_subset(unit_model, material, patch):
-    plant, _ = pd.build_plant(unit_model, patch, material, [2])
+def test_build_plant_subset(unit_model, patch):
+    plant = pd.build_plant(unit_model, patch, [2])
     assert plant.omegas[0] == unit_model.modes[1].omega
     assert plant.b[0] == 1.0 or plant.b[0] == -1.0
 
 
-def test_build_plant_degenerate(material):
+def test_build_plant_degenerate():
     # Constant slope: zero slope difference for every patch position.
     x = np.linspace(0.0, 1.0, 21)
     mode = pd.Mode(1, 10.0, 1.0, 0.01, x.copy(), np.ones_like(x))
-    model = pd.ModalModel(x, [mode], "analytic", "mass_normalized")
+    model = pd.ModalModel(x, [mode], "analytic")
     patch = pd.PatchGeometry(0.2, 0.02, 0.0005, 0.00125)
     with pytest.raises(DegeneratePlantError):
-        pd.build_plant(model, patch, material, [1])
+        pd.build_plant(model, patch, [1])
 
 
 def test_close_loop_zero_gain_keeps_poles():
@@ -191,9 +190,10 @@ def test_critical_gain_needs_a_controllable_mode():
         pd.critical_gain(plant, pd.PPFConfig(15.0, 0.3))
 
 
-def test_critical_gain_destabilizes_multimode(gripper_model, material):
+def test_critical_gain_destabilizes_multimode(gripper_model):
     patch = pd.PatchGeometry(0.05, 0.02, 0.0005, 0.00125)
-    plant, psys = pd.build_plant(gripper_model, patch, material, [1, 2])
+    plant = pd.build_plant(gripper_model, patch, [1, 2])
+    psys = pd.plant_system(plant)
     cfg = pd.PPFConfig.from_hz(76.7, 0.3)
     g = pd.critical_gain(plant, cfg)
     assert np.isfinite(g)
