@@ -31,23 +31,17 @@ def _fmt(v) -> str:
     return f"{float(v):.9g}"
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-
-def _write_columns(path: Path, header: list[str], columns,
-                   preamble: str = "") -> None:
-    """Write float columns side by side, each value formatted as ``_fmt``
-    formats it, with one ``%`` format per row."""
-    row = ",".join(["%.9g"] * len(columns)) + "\n"
+def _write_csv(path: Path, header: list[str], rows,
+               preamble: str = "") -> None:
+    """Write rows of numbers under the header, each value as ``_fmt``
+    formats it, with one ``%`` format per row. A row shorter than the header
+    leaves its trailing fields empty."""
+    n = len(header)
+    row = ",".join(["%.9g"] * n) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(preamble + ",".join(header) + "\n")
-        fh.writelines(row % r for r in
-                      zip(*(np.asarray(c, dtype=float).tolist()
-                            for c in columns)))
+        fh.writelines(row % r if len(r) == n else ",".join(["%.9g"] * len(r))
+                      % r + "," * (n - len(r)) + "\n" for r in rows)
 
 
 def write_state_space_csv(sys_: LinearSystem, path: Path) -> None:
@@ -90,16 +84,15 @@ def cmd_modes(args) -> int:
     cfg = _require_config(args)
     out = _out_dir(args)
     model = cfg.build_model()
-    rows = [[str(m.index), _fmt(m.freq_hz), _fmt(m.omega), _fmt(m.zeta),
-             _fmt(m.modal_mass)] for m in model.modes]
     _write_csv(out / "modes.csv",
                ["mode", "freq_hz", "omega_rad_s", "zeta", "modal_mass_kg"],
-               rows)
+               [(m.index, m.freq_hz, m.omega, m.zeta, m.modal_mass)
+                for m in model.modes])
     header = (["x_m"] + [f"phi{m.index}" for m in model.modes]
               + [f"theta{m.index}" for m in model.modes])
-    _write_columns(out / "shapes.csv", header,
-                   [model.grid] + [m.phi for m in model.modes]
-                   + [m.theta for m in model.modes])
+    _write_csv(out / "shapes.csv", header, zip(*(
+        c.tolist() for c in [model.grid] + [m.phi for m in model.modes]
+        + [m.theta for m in model.modes])))
     _say(args, f"{model.source} model, {model.n_modes} modes on "
                f"{model.grid.size} points over {_fmt(model.length)} m")
     for m in model.modes:
@@ -116,12 +109,12 @@ def cmd_coupling(args) -> int:
     model = cfg.build_model()
     results = [coupling_factor(model, cfg.patch, cfg.material, m.index)
                for m in model.modes]
-    rows = [[str(r.mode_index), _fmt(model.mode(r.mode_index).freq_hz),
-             _fmt(r.delta_theta), _fmt(r.k2), _fmt(r.f_open_hz),
-             "1" if r.relative else "0"] for r in results]
     _write_csv(out / "coupling.csv",
                ["mode", "freq_hz", "delta_theta_per_m", "K2", "f_open_hz",
-                "relative"], rows)
+                "relative"],
+               [(r.mode_index, model.mode(r.mode_index).freq_hz,
+                 r.delta_theta, r.k2, r.f_open_hz, r.relative)
+                for r in results])
     _say(args, f"patch [{_fmt(cfg.patch.x_start)}, "
                f"{_fmt(cfg.patch.x_start + cfg.patch.length)}] m")
     for r in results:
@@ -146,11 +139,10 @@ def cmd_place(args) -> int:
     scan, rows = result.scan, result.rows
     header = (["x_start_m", "objective"]
               + [f"K2_mode{m.index}" for m in model.modes])
-    _write_columns(out / "scan.csv", header,
-                   [scan.x_starts, scan.objective] + list(scan.k2.T))
-    _write_columns(out / "placement.csv", header,
-                   [scan.x_starts[rows], scan.objective[rows]]
-                   + list(scan.k2[rows].T))
+    table = np.column_stack([scan.x_starts, scan.objective, scan.k2])
+    _write_csv(out / "scan.csv", header, map(tuple, table.tolist()))
+    _write_csv(out / "placement.csv", header,
+               map(tuple, table[rows].tolist()))
     if model.source == SOURCE_MEASURED:
         _say(args, "note: unit-peak shapes, coupling values are comparative only")
     _say(args, f"scanned {scan.x_starts.size} candidates, step "
@@ -172,12 +164,11 @@ def cmd_ppf_design(args) -> int:
     gcrit = critical_gain(plant, filt)
     _write_csv(out / "ppf_summary.csv",
                ["filter_freq_hz", "filter_zeta", "critical_gain"],
-               [[_fmt(cfg.ppf_freq_hz), _fmt(cfg.ppf_zeta), _fmt(gcrit)]])
-    rows = [[str(model.modes[i].index), _fmt(plant.omegas[i] / TWO_PI),
-             _fmt(plant.zetas[i]), _fmt(plant.b[i])]
-            for i in range(plant.n_modes)]
+               [(cfg.ppf_freq_hz, cfg.ppf_zeta, gcrit)])
     _write_csv(out / "plant_modes.csv",
-               ["mode", "freq_hz", "zeta", "influence"], rows)
+               ["mode", "freq_hz", "zeta", "influence"],
+               [(model.modes[i].index, plant.omegas[i] / TWO_PI,
+                 plant.zetas[i], plant.b[i]) for i in range(plant.n_modes)])
     write_state_space_csv(plant_system(plant), out / "plant_ss.csv")
     write_state_space_csv(ppf_controller(PPFConfig(filt.omega_f, filt.zeta_f,
                                                    1.0)),
@@ -203,29 +194,26 @@ def cmd_sweep(args) -> int:
     freqs = np.linspace(cfg.band_hz[0], cfg.band_hz[1], cfg.n_freq)
     rows = gain_sweep(plant, filt, cfg.gains, freqs_hz=freqs,
                       min_prominence_db=cfg.min_prominence_db)
-    table = []
-    for row in rows:
-        if row.estimate is None:
-            table.append([_fmt(row.gain), "0", "", "", "", ""])
-        else:
-            e = row.estimate
-            table.append([_fmt(row.gain), "1", _fmt(e.f_peak),
-                          _fmt(e.q_factor), _fmt(e.zeta),
-                          _fmt(e.damping_pct)])
     _write_csv(out / "sweep.csv",
                ["gain", "stable", "f_peak_hz", "Q", "zeta", "damping_pct"],
-               table)
+               [(r.gain, r.stable) if r.estimate is None else
+                (r.gain, r.stable, r.estimate.f_peak, r.estimate.q_factor,
+                 r.estimate.zeta, r.estimate.damping_pct) for r in rows])
     for k, row in enumerate(rows):
         if not row.stable:
             _say(args, f"  gain {_fmt(row.gain)}: unstable, no output written")
             continue
         resp = row.response
         mag_db, phase = bode_table(resp)
-        _write_columns(out / f"bode_{k + 1:02d}.csv",
-                       ["freq_hz", "mag_db", "phase_deg"],
-                       [resp.freqs_hz, mag_db, phase],
-                       preamble=f"# gain = {_fmt(row.gain)}\n")
+        _write_csv(out / f"bode_{k + 1:02d}.csv",
+                   ["freq_hz", "mag_db", "phase_deg"],
+                   zip(resp.freqs_hz.tolist(), mag_db.tolist(),
+                       phase.tolist()),
+                   preamble=f"# gain = {_fmt(row.gain)}\n")
         e = row.estimate
+        if e is None:
+            _say(args, f"  gain {_fmt(row.gain)}: no half-power estimate")
+            continue
         _say(args, f"  gain {_fmt(row.gain)}: peak {_fmt(e.f_peak)} Hz, "
                    f"Q {_fmt(e.q_factor)}, damping {_fmt(e.damping_pct)} %")
     _say(args, f"wrote {out / 'sweep.csv'} and one Bode file per stable gain")
@@ -258,9 +246,8 @@ def cmd_analyze(args) -> int:
     rows = []
     for idx in peaks:
         e = half_power_damping(frf, idx)
-        rows.append([_fmt(e.f_peak), _fmt(e.peak_mag), _fmt(e.f_lo),
-                     _fmt(e.f_hi), _fmt(e.q_factor), _fmt(e.zeta),
-                     _fmt(e.damping_pct)])
+        rows.append((e.f_peak, e.peak_mag, e.f_lo, e.f_hi, e.q_factor,
+                     e.zeta, e.damping_pct))
         _say(args, f"  peak {_fmt(e.f_peak)} Hz: Q {_fmt(e.q_factor)}, "
                    f"damping {_fmt(e.damping_pct)} %")
     _write_csv(out / "analyze.csv",

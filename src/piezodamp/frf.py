@@ -3,6 +3,7 @@ and PPF gain sweeps."""
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -12,6 +13,8 @@ from .errors import BandwidthError, InvalidInputError, ParseError
 from .modal import TWO_PI, _read_csv
 from .ppf import (LinearSystem, ModalPlant, PPFConfig, close_loop,
                   plant_system, ppf_controller, stability)
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -309,8 +312,9 @@ def default_frequency_grid(center_hz: float) -> np.ndarray:
 
 @dataclass
 class SweepRow:
-    """One gain of a sweep; the estimate and the closed-loop response are
-    None for unstable loops.
+    """One gain of a sweep. The closed-loop response is None for unstable
+    loops; the estimate is None for unstable loops and for stable loops
+    whose response has no peak a half-power estimate can be read from.
 
     A stable row keeps its whole closed-loop ``FRF`` (values and flags on the
     sweep grid) for as long as the row lives, so a sweep's rows hold about
@@ -328,9 +332,10 @@ def gain_sweep(plant: ModalPlant, cfg: PPFConfig, gains, freqs_hz=None,
     """Close the loop at each gain and report the dominant in-band peak.
 
     Stable rows carry the closed-loop response and a half-power estimate of
-    its dominant in-band peak; unstable rows are flagged and skipped. The
-    grid defaults to 2001 points over [0.8, 1.2] times the frequency of the
-    plant mode closest to the filter.
+    its dominant in-band peak, or None with a logged warning when no peak
+    yields one; unstable rows are flagged and skipped. The grid defaults to
+    2001 points over [0.8, 1.2] times the frequency of the plant mode
+    closest to the filter.
     The gain of ``cfg`` is ignored in favour of the swept values. Every
     stable row's response is kept on ``SweepRow.response``, so memory grows
     with the number of gains times the grid length.
@@ -353,15 +358,20 @@ def gain_sweep(plant: ModalPlant, cfg: PPFConfig, gains, freqs_hz=None,
             rows.append(SweepRow(g, False, None))
             continue
         resp = closed_loop_frf(plant, loop, freqs_hz)
-        peaks = find_peaks(resp, (resp.freqs_hz[0], resp.freqs_hz[-1]),
-                           min_prominence_db)
-        if not peaks:
-            raise InvalidInputError(
-                f"no resonance peak found at gain {g:g}; widen the band or "
-                "lower the prominence threshold")
-        mag = np.abs(resp.values)
-        best = max(peaks, key=lambda k: mag[k])
-        rows.append(SweepRow(g, True, half_power_damping(resp, best), resp))
+        try:
+            peaks = find_peaks(resp, (resp.freqs_hz[0], resp.freqs_hz[-1]),
+                               min_prominence_db)
+            if not peaks:
+                raise InvalidInputError(
+                    "no resonance peak found; widen the band or lower the "
+                    "prominence threshold")
+            mag = np.abs(resp.values)
+            best = max(peaks, key=lambda k: mag[k])
+            estimate = half_power_damping(resp, best)
+        except (InvalidInputError, BandwidthError) as exc:
+            log.warning("gain %g: no half-power estimate: %s", g, exc)
+            estimate = None
+        rows.append(SweepRow(g, True, estimate, resp))
     return rows
 
 

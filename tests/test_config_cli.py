@@ -120,6 +120,67 @@ def test_config_errors(tmp_path, gripper_ini):
         with pytest.raises(ConfigError, match=where + ".* is not finite"):
             pd.load_config(path)
 
+    for old, new, message in [
+            ("EI_Nm2 = 1.0\n", "", r"\[structure\] is missing key 'EI_Nm2'"),
+            ("n_modes = 2\n", "", r"\[structure\] is missing key 'n_modes'"),
+            ("band_hz = 0.4, 0.7\n", "",
+             r"\[analysis\] is missing key 'band_hz'"),
+            ("length_m = 1.0", "length_m = -1.0",
+             r"\[structure\]: beam length must be positive"),
+            ("s11E_perPa = 1.6e-11", "s11E_perPa = -1.6e-11",
+             r"\[material\]: s11E must be positive"),
+            ("width_m = 0.02", "width_m = 0",
+             r"\[patch\]: patch length, width and thickness must be positive"),
+            ("n_modes = 2", "n_modes = 0", r"\[structure\] n_modes must be >= 1"),
+            ("freq_hz = 3.5", "freq_hz = 0", r"\[ppf\] freq_hz must be positive"),
+            ("gains = 1, 2", "gains = -1, 2", r"\[ppf\] gains must be >= 0"),
+            ("step_m = 0.1", "step_m = 0.1\nn_freq = 1",
+             r"\[analysis\] n_freq must be >= 2"),
+            ("step_m = 0.1", "step_m = 0.1\nmin_prominence_db = 0",
+             r"\[analysis\] min_prominence_db must be positive"),
+            ("step_m = 0.1", "step_m = 0", r"\[analysis\] step_m must be positive"),
+            ("step_m = 0.1", "step_m = 0.1\nn_patches = 0",
+             r"\[analysis\] n_patches must be >= 1"),
+            ("step_m = 0.1", "step_m = 0.1\nmin_gap_m = -0.01",
+             r"\[analysis\] min_gap_m must be >= 0"),
+            ("step_m = 0.1", "step_m = 0.1\nmode_weights = 0:1.0, 1:1.0",
+             r"\[analysis\] mode_weights indices are 1-based"),
+            ("step_m = 0.1", "step_m = 0.1\nmode_weights = 1:1.0, 2:-0.5",
+             r"\[analysis\] mode_weights must be >= 0")]:
+        path = _minimal_ini(tmp_path)
+        path.write_text(path.read_text().replace(old, new))
+        with pytest.raises(ConfigError, match=message):
+            pd.load_config(path)
+
+    (tmp_path / "shapes.csv").write_text("x_m,mode1\n")
+    measured = "[structure]\nsource = measured\nfrequencies_hz = 10\n"
+    path = _minimal_ini(tmp_path, structure=measured)
+    with pytest.raises(ConfigError, match="measured source needs shapes_file"):
+        pd.load_config(path)
+    path = _minimal_ini(tmp_path, structure=measured
+                        + "shapes_file = shapes.csv\nsmooth = maybe\n")
+    with pytest.raises(ConfigError,
+                       match=r"\[structure\] smooth = 'maybe' is not a boolean"):
+        pd.load_config(path)
+
+
+def test_config_patch_z_offset(tmp_path):
+    host = _minimal_ini(tmp_path)
+    text = host.read_text()
+    assert "host_thickness_m = 0.002" in text
+    z_ini = tmp_path / "z_offset.ini"
+    z_ini.write_text(text.replace("host_thickness_m = 0.002",
+                                  "z_offset_m = 0.00125"))
+    cfg = pd.load_config(z_ini)
+    assert cfg.patch.z_offset == 0.00125
+    # The host-thickness form puts the patch mid-plane at the same offset,
+    # (0.002 + 0.0005) / 2, so both give the same coupling table.
+    for ini, out in ((z_ini, tmp_path / "z"), (host, tmp_path / "host")):
+        assert _run(["coupling", "--config", str(ini), "--out-dir", str(out),
+                     "--quiet"]) == 0
+    assert ((tmp_path / "z" / "coupling.csv").read_text()
+            == (tmp_path / "host" / "coupling.csv").read_text())
+
 
 @settings(max_examples=200, deadline=None)
 @given(st.binary(max_size=600))
@@ -227,6 +288,30 @@ def test_cli_sweep_damping_increases_with_gain(gripper_ini, tmp_path):
     assert lines[0] == "gain,stable,f_peak_hz,Q,zeta,damping_pct"
     zetas = [float(l.split(",")[4]) for l in lines[1:]]
     assert all(b > a for a, b in zip(zetas, zetas[1:]))
+
+
+def test_cli_sweep_writes_all_three_kinds_of_row(gripper_ini, tmp_path,
+                                                caplog):
+    # 0.1, 0.2 and 1.1 times the critical gain 211905.872 of the gripper.
+    # At 0.2 g* the loop is stable but its response has no peak of 1 dB.
+    ini = tmp_path / "gripper.ini"
+    ini.write_text(gripper_ini.read_text().replace(
+        "gains = 1500, 3000, 4500, 6000", "gains = 21190.6, 42381.2, 233096"))
+    shutil.copy(gripper_ini.parent / "gripper_shapes.csv", tmp_path)
+    out = tmp_path / "out"
+    with caplog.at_level("WARNING", logger="piezodamp"):
+        assert _run(["sweep", "--config", str(ini), "--out-dir", str(out),
+                     "--quiet"]) == 0
+    assert (out / "sweep.csv").read_text().splitlines() == [
+        "gain,stable,f_peak_hz,Q,zeta,damping_pct",
+        "21190.6,1,76.575,4.09567391,0.122080032,12.2080032",
+        "42381.2,1,,,,",
+        "233096,0,,,,"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "bode_01.csv", "bode_02.csv", "sweep.csv"]
+    warnings = [r.getMessage() for r in caplog.records
+                if r.levelname == "WARNING"]
+    assert len(warnings) == 1 and "gain 42381.2" in warnings[0]
 
 
 def test_cli_sweep_solves_each_gain_once(gripper_ini, tmp_path, monkeypatch):

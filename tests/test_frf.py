@@ -400,3 +400,15 @@ def test_bode_table_unwraps_phase():
     assert np.all(np.abs(np.diff(phase)) < 90.0)
     assert phase[-1] < -150.0
     assert phase[0] > -30.0
+
+
+def test_bode_table_puts_nan_at_flagged_samples():
+    plant = pd.ModalPlant(2.0 * np.pi * np.array([64.0, 90.0]), [0.0, 0.01],
+                          [1.0, 0.5])
+    cfg = pd.PPFConfig(2.0 * np.pi * 70.0, 0.3, 0.0)
+    frf = pd.closed_loop_frf(plant, cfg, np.linspace(60.0, 68.0, 9))
+    assert frf.flagged.tolist() == [False] * 4 + [True] + [False] * 4
+    mag_db, phase = pd.bode_table(frf)
+    for column in (mag_db, phase):
+        assert np.isnan(column[4])
+        assert np.all(np.isfinite(np.delete(column, 4)))
