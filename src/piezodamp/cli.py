@@ -10,6 +10,7 @@ and reports carry 9 significant digits.
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from pathlib import Path
 
@@ -73,10 +74,11 @@ def _say(args, text: str) -> None:
         print(text)
 
 
-def _mode_weights(cfg: ProjectConfig, n_modes: int) -> dict[int, float]:
-    if cfg.mode_weights is not None:
-        return cfg.mode_weights
-    return {i: 1.0 for i in range(1, n_modes + 1)}
+def _loop(cfg: ProjectConfig):
+    """The configured model, its plant over every mode, and the filter."""
+    model = cfg.build_model()
+    plant = build_plant(model, cfg.patch, [m.index for m in model.modes])
+    return model, plant, PPFConfig.from_hz(cfg.ppf_freq_hz, cfg.ppf_zeta)
 
 
 def cmd_modes(args) -> int:
@@ -133,8 +135,8 @@ def cmd_place(args) -> int:
         raise ConfigError("[analysis] step_m is required for the place command")
     model = cfg.build_model()
     problem = PlacementProblem(model, cfg.patch, cfg.material,
-                               _mode_weights(cfg, model.n_modes),
-                               cfg.placement_step, cfg.n_patches, cfg.min_gap)
+                               cfg.mode_weights, cfg.placement_step,
+                               cfg.n_patches, cfg.min_gap)
     result = optimize_placement(problem)
     scan, rows = result.scan, result.rows
     header = (["x_start_m", "objective"]
@@ -158,9 +160,7 @@ def cmd_ppf_design(args) -> int:
     """Size the filter against the plant and report the critical gain."""
     cfg = _require_config(args)
     out = _out_dir(args)
-    model = cfg.build_model()
-    plant = build_plant(model, cfg.patch, [m.index for m in model.modes])
-    filt = PPFConfig.from_hz(cfg.ppf_freq_hz, cfg.ppf_zeta)
+    model, plant, filt = _loop(cfg)
     gcrit = critical_gain(plant, filt)
     _write_csv(out / "ppf_summary.csv",
                ["filter_freq_hz", "filter_zeta", "critical_gain"],
@@ -188,9 +188,7 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args)
     if not cfg.gains:
         raise ConfigError("[ppf] gains is required for the sweep command")
-    model = cfg.build_model()
-    plant = build_plant(model, cfg.patch, [m.index for m in model.modes])
-    filt = PPFConfig.from_hz(cfg.ppf_freq_hz, cfg.ppf_zeta)
+    _, plant, filt = _loop(cfg)
     freqs = np.linspace(cfg.band_hz[0], cfg.band_hz[1], cfg.n_freq)
     rows = gain_sweep(plant, filt, cfg.gains, freqs_hz=freqs,
                       min_prominence_db=cfg.min_prominence_db)
@@ -237,7 +235,7 @@ def cmd_analyze(args) -> int:
     else:
         raise InvalidInputError("analyze needs --band or a --config with an "
                                 "[analysis] band_hz")
-    prom = args.min_prominence_db if args.min_prominence_db is not None else 3.0
+    prom = args.min_prominence_db
     peaks = find_peaks(frf, band, prom)
     if not peaks:
         raise InvalidInputError(
@@ -295,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="peak table of an FRF CSV file")
     an.add_argument("--frf", required=True, help="FRF CSV file to analyze")
     an.add_argument("--band", default=None, help="frequency band 'lo,hi' in Hz")
-    an.add_argument("--min-prominence-db", type=float, default=None,
+    an.add_argument("--min-prominence-db", type=float, default=3.0,
                     help="peak prominence threshold in dB (default 3)")
     an.set_defaults(func=cmd_analyze)
     return parser
@@ -303,6 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Bound to this call's stderr, so a caller that swaps sys.stderr between
+    # calls gets the warnings of each call.
+    warn = logging.StreamHandler(sys.stderr)
+    warn.setLevel(logging.WARNING)
+    warn.setFormatter(logging.Formatter("warning: %(message)s"))
+    log = logging.getLogger("piezodamp")
+    log.addHandler(warn)
     try:
         return args.func(args)
     except NumericalError as exc:
@@ -314,6 +319,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        log.removeHandler(warn)
 
 
 if __name__ == "__main__":

@@ -15,10 +15,12 @@ Sections and keys:
     [analysis]     band_hz = lo,hi; n_freq (optional);
                    min_prominence_db (optional); placement: step_m,
                    n_patches (optional), min_gap_m (optional),
-                   mode_weights (optional "1:1.0,2:0.5")
+                   mode_weights (optional "1:1.0,2:0.5", default all 1)
 
-Every value is validated on load and every number must be finite;
-referenced files must exist. Unknown keys are ignored and ``%`` is literal.
+Values are checked on load: every number must be finite and referenced
+files must exist. The model-size limits (n_grid, n_elements against n_modes)
+and the shapes file's contents are checked when a command builds the model,
+with errors that name [structure]. Unknown keys are ignored, ``%`` is literal.
 """
 
 from __future__ import annotations
@@ -30,11 +32,15 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, InvalidInputError
-from .modal import (BeamProperties, ModalModel, analytic_cantilever_modes,
-                    fe_beam_modes, load_measured_modes)
+from .modal import (DEFAULT_DAMPING, SOURCE_ANALYTIC, SOURCE_FE,
+                    SOURCE_MEASURED, BeamProperties, ModalModel,
+                    analytic_cantilever_modes, fe_beam_modes,
+                    load_measured_modes)
 from .piezo import PatchGeometry, PiezoMaterial
 
-_STRUCTURE_SOURCES = ("analytic", "finite_element", "measured")
+_BUILDERS = {SOURCE_ANALYTIC: analytic_cantilever_modes,
+             SOURCE_FE: fe_beam_modes,
+             SOURCE_MEASURED: load_measured_modes}
 
 
 def _section(cp: configparser.ConfigParser, name: str):
@@ -49,50 +55,31 @@ def _finite(sect, key: str, value: float) -> float:
     return value
 
 
-def _float(sect, key: str, default=None) -> float:
+def _get(sect, key: str, parse, noun: str, default=None):
+    """``parse`` of the key's text, ``default`` if the key is absent."""
     if key not in sect:
         if default is not None:
             return default
         raise ConfigError(f"[{sect.name}] is missing key {key!r}")
     try:
-        return _finite(sect, key, float(sect[key]))
+        return parse(sect[key])
     except ValueError:
         raise ConfigError(
-            f"[{sect.name}] {key} = {sect[key]!r} is not a number") from None
+            f"[{sect.name}] {key} = {sect[key]!r} is not {noun}") from None
+
+
+def _float(sect, key: str, default=None) -> float:
+    return _finite(sect, key, _get(sect, key, float, "a number", default))
 
 
 def _int(sect, key: str, default=None) -> int:
-    if key not in sect:
-        if default is not None:
-            return default
-        raise ConfigError(f"[{sect.name}] is missing key {key!r}")
-    try:
-        return int(sect[key])
-    except ValueError:
-        raise ConfigError(
-            f"[{sect.name}] {key} = {sect[key]!r} is not an integer") from None
+    return _get(sect, key, int, "an integer", default)
 
 
-def _bool(sect, key: str, default: bool = False) -> bool:
-    if key not in sect:
-        return default
-    try:
-        return sect.getboolean(key)
-    except ValueError:
-        raise ConfigError(
-            f"[{sect.name}] {key} = {sect[key]!r} is not a boolean") from None
-
-
-def _float_list(sect, key: str) -> list[float]:
-    if key not in sect:
-        raise ConfigError(f"[{sect.name}] is missing key {key!r}")
-    try:
-        return [_finite(sect, key, float(t)) for t in sect[key].split(",")
-                if t.strip()]
-    except ValueError:
-        raise ConfigError(
-            f"[{sect.name}] {key} = {sect[key]!r} is not a comma list of "
-            "numbers") from None
+def _float_list(sect, key: str, default=None) -> list[float]:
+    return _get(sect, key, lambda text: [_finite(sect, key, float(t))
+                                         for t in text.split(",") if t.strip()],
+                "a comma list of numbers", default)
 
 
 def _weights(sect, key: str) -> dict[int, float] | None:
@@ -119,23 +106,12 @@ def _weights(sect, key: str) -> dict[int, float] | None:
 
 
 @dataclass
-class StructureSpec:
-    source: str
-    props: BeamProperties | None
-    n_modes: int
-    n_grid: int
-    n_elements: int
-    shapes_file: Path | None
-    frequencies_hz: list[float]
-    damping: list[float] | None
-    smooth: bool
-
-
-@dataclass
 class ProjectConfig:
-    """Validated contents of one project INI file."""
+    """Validated contents of one project INI file, defaults resolved;
+    ``structure`` holds the keyword arguments of ``source``'s model builder."""
 
-    structure: StructureSpec
+    source: str
+    structure: dict
     material: PiezoMaterial
     patch: PatchGeometry
     ppf_freq_hz: float
@@ -147,24 +123,21 @@ class ProjectConfig:
     placement_step: float
     n_patches: int
     min_gap: float
-    mode_weights: dict[int, float] | None
+    mode_weights: dict[int, float]
 
     def build_model(self) -> ModalModel:
         """Materialize the modal model the config describes."""
-        s = self.structure
-        if s.source == "analytic":
-            return analytic_cantilever_modes(s.props, s.n_modes, s.n_grid)
-        if s.source == "finite_element":
-            return fe_beam_modes(s.props, s.n_elements, s.n_modes)
-        return load_measured_modes(s.shapes_file, s.frequencies_hz,
-                                   s.damping, s.smooth)
+        try:
+            return _BUILDERS[self.source](**self.structure)
+        except InvalidInputError as exc:
+            raise ConfigError(f"[structure]: {exc}") from None
 
 
 def load_config(path) -> ProjectConfig:
     """Parse and validate a project INI file.
 
-    All values are checked eagerly, including the module-level invariants of
-    the material and patch, so commands start from a known-good state.
+    Values are checked eagerly, including the module-level invariants of the
+    material and patch, so commands start from a known-good state.
     """
     path = Path(path)
     if not path.is_file():
@@ -182,18 +155,11 @@ def load_config(path) -> ProjectConfig:
 
     st = _section(cp, "structure")
     source = st.get("source", "").strip()
-    if source not in _STRUCTURE_SOURCES:
+    if source not in _BUILDERS:
         raise ConfigError(
-            f"[structure] source must be one of {', '.join(_STRUCTURE_SOURCES)}; "
+            f"[structure] source must be one of {', '.join(_BUILDERS)}; "
             f"got {source!r}")
-    props = None
-    shapes_file = None
-    freqs: list[float] = []
-    damping = None
-    smooth = False
-    n_grid = 201
-    n_elements = 64
-    if source == "measured":
+    if source == SOURCE_MEASURED:
         if "shapes_file" not in st:
             raise ConfigError("[structure] measured source needs shapes_file")
         shapes_file = path.parent / st["shapes_file"]
@@ -202,12 +168,16 @@ def load_config(path) -> ProjectConfig:
         if not os.path.isfile(shapes_file):
             raise ConfigError(f"shapes file {shapes_file} does not exist")
         freqs = _float_list(st, "frequencies_hz")
+        damping = None
         if "damping" in st:
             damping = _float_list(st, "damping")
             if len(damping) != len(freqs):
                 raise ConfigError(
                     "[structure] damping must list one value per frequency")
-        smooth = _bool(st, "smooth")
+        smooth = _get(st, "smooth", lambda _: st.getboolean("smooth"),
+                      "a boolean", False)
+        structure = {"path": shapes_file, "frequencies_hz": freqs,
+                     "damping": damping, "smooth": smooth}
         n_modes = len(freqs)
     else:
         try:
@@ -215,17 +185,18 @@ def load_config(path) -> ProjectConfig:
                 _float(st, "length_m"),
                 _float(st, "EI_Nm2"),
                 _float(st, "mass_per_length_kgpm"),
-                _float(st, "damping", 0.005),
+                _float(st, "damping", DEFAULT_DAMPING),
             )
         except InvalidInputError as exc:
             raise ConfigError(f"[structure]: {exc}") from None
         n_modes = _int(st, "n_modes")
         if n_modes < 1:
             raise ConfigError("[structure] n_modes must be >= 1")
-        n_grid = _int(st, "n_grid", 201)
-        n_elements = _int(st, "n_elements", 64)
-    structure = StructureSpec(source, props, n_modes, n_grid, n_elements,
-                              shapes_file, freqs, damping, smooth)
+        # Both sizes are checked on load; the source's builder takes one.
+        sizes = {"n_grid": _int(st, "n_grid", 201),
+                 "n_elements": _int(st, "n_elements", 64)}
+        size = "n_grid" if source == SOURCE_ANALYTIC else "n_elements"
+        structure = {"props": props, "n_modes": n_modes, size: sizes[size]}
 
     mt = _section(cp, "material")
     try:
@@ -237,22 +208,15 @@ def load_config(path) -> ProjectConfig:
 
     pt = _section(cp, "patch")
     has_z = "z_offset_m" in pt
-    has_host = "host_thickness_m" in pt
-    if has_z == has_host:
+    if has_z == ("host_thickness_m" in pt):
         raise ConfigError(
             "[patch] needs exactly one of z_offset_m or host_thickness_m")
+    make, offset = ((PatchGeometry, "z_offset_m") if has_z else
+                    (PatchGeometry.on_host, "host_thickness_m"))
     try:
-        if has_z:
-            patch = PatchGeometry(_float(pt, "length_m"), _float(pt, "width_m"),
-                                  _float(pt, "thickness_m"),
-                                  _float(pt, "z_offset_m"),
-                                  _float(pt, "x_start_m", 0.0))
-        else:
-            patch = PatchGeometry.on_host(_float(pt, "length_m"),
-                                          _float(pt, "width_m"),
-                                          _float(pt, "thickness_m"),
-                                          _float(pt, "host_thickness_m"),
-                                          _float(pt, "x_start_m", 0.0))
+        patch = make(_float(pt, "length_m"), _float(pt, "width_m"),
+                     _float(pt, "thickness_m"), _float(pt, offset),
+                     _float(pt, "x_start_m", 0.0))
     except InvalidInputError as exc:
         raise ConfigError(f"[patch]: {exc}") from None
 
@@ -263,7 +227,7 @@ def load_config(path) -> ProjectConfig:
         raise ConfigError("[ppf] freq_hz must be positive")
     if not 0.0 < ppf_zeta < 1.0:
         raise ConfigError("[ppf] zeta must lie in (0, 1)")
-    gains = _float_list(pf, "gains") if "gains" in pf else []
+    gains = _float_list(pf, "gains", [])
     if any(g < 0.0 for g in gains):
         raise ConfigError("[ppf] gains must be >= 0")
     if any(b <= a for a, b in zip(gains, gains[1:])):
@@ -279,7 +243,7 @@ def load_config(path) -> ProjectConfig:
     min_prom = _float(an, "min_prominence_db", 1.0)
     if min_prom <= 0.0:
         raise ConfigError("[analysis] min_prominence_db must be positive")
-    step = _float(an, "step_m", 0.0) if "step_m" in an else 0.0
+    step = _float(an, "step_m", 0.0)
     if "step_m" in an and step <= 0.0:
         raise ConfigError("[analysis] step_m must be positive")
     n_patches = _int(an, "n_patches", 1)
@@ -288,14 +252,17 @@ def load_config(path) -> ProjectConfig:
     min_gap = _float(an, "min_gap_m", 0.0)
     if min_gap < 0.0:
         raise ConfigError("[analysis] min_gap_m must be >= 0")
-    weights = _weights(an, "mode_weights")
-    if weights is not None:
-        for idx, w in weights.items():
-            if idx < 1:
-                raise ConfigError("[analysis] mode_weights indices are 1-based")
-            if w < 0.0:
-                raise ConfigError("[analysis] mode_weights must be >= 0")
+    weights = (_weights(an, "mode_weights")
+               or {i: 1.0 for i in range(1, n_modes + 1)})
+    for idx, w in weights.items():
+        if idx < 1:
+            raise ConfigError("[analysis] mode_weights indices are 1-based")
+        if idx > n_modes:
+            raise ConfigError(f"[analysis] mode_weights index {idx} is above "
+                              f"the {n_modes} modes of [structure]")
+        if w < 0.0:
+            raise ConfigError("[analysis] mode_weights must be >= 0")
 
-    return ProjectConfig(structure, material, patch, ppf_freq, ppf_zeta,
-                         gains, (band[0], band[1]), n_freq, min_prom, step,
-                         n_patches, min_gap, weights)
+    return ProjectConfig(source, structure, material, patch, ppf_freq,
+                         ppf_zeta, gains, (band[0], band[1]), n_freq, min_prom,
+                         step, n_patches, min_gap, weights)

@@ -21,8 +21,8 @@ SUBCOMMANDS = ["modes", "coupling", "place", "ppf-design", "sweep"]
 
 def test_load_config_gripper(gripper_ini):
     cfg = pd.load_config(gripper_ini)
-    assert cfg.structure.source == "measured"
-    assert cfg.structure.frequencies_hz == [58.0, 76.0]
+    assert cfg.source == "measured"
+    assert cfg.structure["frequencies_hz"] == [58.0, 76.0]
     assert cfg.ppf_freq_hz == 76.7
     assert cfg.ppf_zeta == 0.3
     assert cfg.gains == [1500.0, 3000.0, 4500.0, 6000.0]
@@ -56,8 +56,8 @@ def test_config_errors(tmp_path, gripper_ini):
 
     path = _minimal_ini(tmp_path)
     good = pd.load_config(path)
-    assert good.structure.source == "analytic"
-    assert good.structure.props.length == 1.0
+    assert good.source == "analytic"
+    assert good.structure["props"].length == 1.0
 
     bad = path.read_text().replace("[material]", "[materials]")
     path.write_text(bad)
@@ -145,6 +145,9 @@ def test_config_errors(tmp_path, gripper_ini):
              r"\[analysis\] min_gap_m must be >= 0"),
             ("step_m = 0.1", "step_m = 0.1\nmode_weights = 0:1.0, 1:1.0",
              r"\[analysis\] mode_weights indices are 1-based"),
+            ("step_m = 0.1", "step_m = 0.1\nmode_weights = 1:1, 5:1",
+             r"\[analysis\] mode_weights index 5 is above the 2 modes of "
+             r"\[structure\]"),
             ("step_m = 0.1", "step_m = 0.1\nmode_weights = 1:1.0, 2:-0.5",
              r"\[analysis\] mode_weights must be >= 0")]:
         path = _minimal_ini(tmp_path)
@@ -238,6 +241,45 @@ def test_config_weights_parse(tmp_path):
         pd.load_config(path)
 
 
+def test_config_without_weights_weights_every_mode_1(tmp_path):
+    implicit = _minimal_ini(tmp_path)
+    assert pd.load_config(implicit).mode_weights == {1: 1.0, 2: 1.0}
+    explicit = tmp_path / "explicit.ini"
+    explicit.write_text(implicit.read_text()
+                        + "mode_weights = 1:1.0, 2:1.0\n")
+    for ini, out in ((implicit, tmp_path / "implicit"),
+                     (explicit, tmp_path / "explicit")):
+        assert _run(["place", "--config", str(ini), "--out-dir", str(out),
+                     "--quiet"]) == 0
+    assert ((tmp_path / "implicit" / "scan.csv").read_bytes()
+            == (tmp_path / "explicit" / "scan.csv").read_bytes())
+
+
+_FE_STRUCTURE = ("[structure]\nsource = finite_element\nlength_m = 1.0\n"
+                 "EI_Nm2 = 1.0\nmass_per_length_kgpm = 1.0\n")
+
+
+@pytest.mark.parametrize("structure, message", [
+    ("[structure]\nsource = analytic\nlength_m = 1.0\nEI_Nm2 = 1.0\n"
+     "mass_per_length_kgpm = 1.0\nn_modes = 2\nn_grid = 5\n",
+     "n_grid must be >= 16"),
+    (_FE_STRUCTURE + "n_modes = 2\nn_elements = 2\n",
+     "n_elements must be >= 4"),
+    (_FE_STRUCTURE + "n_modes = 9\nn_elements = 8\n",
+     "n_modes must lie in 1..8 for 8 elements"),
+], ids=["n_grid", "n_elements", "n_modes_above_n_elements"])
+def test_model_size_errors_name_the_structure_section(tmp_path, capsys,
+                                                      structure, message):
+    # The builder checks these when a command builds the model, not on load.
+    ini = _minimal_ini(tmp_path, structure=structure)
+    cfg = pd.load_config(ini)
+    with pytest.raises(ConfigError, match=r"^\[structure\]: " + message):
+        cfg.build_model()
+    assert _run(["modes", "--config", str(ini), "--out-dir",
+                 str(tmp_path / "out"), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: [structure]: {message}\n"
+
+
 def _run(argv):
     return cli.main(argv)
 
@@ -314,6 +356,20 @@ def test_cli_sweep_writes_all_three_kinds_of_row(gripper_ini, tmp_path,
     assert len(warnings) == 1 and "gain 42381.2" in warnings[0]
 
 
+def test_cli_sweep_warning_reaches_stderr_with_prefix(gripper_ini, tmp_path,
+                                                     capsys):
+    ini = tmp_path / "gripper.ini"
+    ini.write_text(gripper_ini.read_text().replace(
+        "gains = 1500, 3000, 4500, 6000", "gains = 21190.6, 42381.2, 233096"))
+    shutil.copy(gripper_ini.parent / "gripper_shapes.csv", tmp_path)
+    assert _run(["sweep", "--config", str(ini), "--out-dir",
+                 str(tmp_path / "out"), "--quiet"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(
+        "warning: gain 42381.2: no half-power estimate: ")
+
+
 def test_cli_sweep_solves_each_gain_once(gripper_ini, tmp_path, monkeypatch):
     from piezodamp import frf
     solves = []
@@ -345,6 +401,31 @@ def test_cli_place_scans_once(gripper_ini, tmp_path, monkeypatch):
     assert _run(["place", "--config", str(gripper_ini), "--out-dir",
                  str(tmp_path), "--quiet"]) == 0
     assert len(scans) == 1
+
+
+def test_cli_analyze_takes_band_from_config(gripper_ini, gripper_frf_csv,
+                                            tmp_path):
+    # gripper.ini sets band_hz = 65, 90.
+    for out, band in ((tmp_path / "config", ["--config", str(gripper_ini)]),
+                      (tmp_path / "band", ["--band", "65,90"])):
+        assert _run(["analyze", "--frf", str(gripper_frf_csv), "--out-dir",
+                     str(out), "--quiet"] + band) == 0
+    assert ((tmp_path / "config" / "analyze.csv").read_bytes()
+            == (tmp_path / "band" / "analyze.csv").read_bytes())
+
+
+@pytest.mark.parametrize("sub, old, message", [
+    ("place", "step_m = 0.1\n",
+     "[analysis] step_m is required for the place command"),
+    ("sweep", "gains = 1, 2\n", "[ppf] gains is required for the sweep command"),
+])
+def test_cli_command_without_its_key_exits_1(tmp_path, capsys, sub, old,
+                                             message):
+    ini = _minimal_ini(tmp_path)
+    ini.write_text(ini.read_text().replace(old, ""))
+    assert _run([sub, "--config", str(ini), "--out-dir", str(tmp_path),
+                 "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cli_deterministic_outputs(gripper_ini, gripper_frf_csv, tmp_path):
@@ -414,6 +495,12 @@ def test_cli_exit_code_data_error(gripper_frf_csv, tmp_path, capsys):
     code = _run(["analyze", "--frf", str(gripper_frf_csv),
                  "--band", "nonsense", "--out-dir", str(tmp_path)])
     assert code == 1
+    capsys.readouterr()
+
+    code = _run(["analyze", "--frf", str(gripper_frf_csv),
+                 "--band", "50,x", "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert "--band must look like" in capsys.readouterr().err
 
 
 def test_cli_exit_code_numerical_error(monkeypatch, gripper_ini, tmp_path,
@@ -535,6 +622,8 @@ def _run_without_scipy(argvs):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)
+    # Any warning on these runs fails them too.
+    env["PYTHONWARNINGS"] = "error"
     out = subprocess.run([sys.executable, "-c", _NO_SCIPY_PROBE,
                           json.dumps(argvs)],
                          env=env, capture_output=True, text=True)
