@@ -12,8 +12,8 @@ from .errors import (BandwidthError, ConfigError, DegeneratePlantError,
                      InvalidInputError, InvalidMaterialError, NumericalError,
                      ParseError, PiezodampError, PlacementError)
 from .modal import (BeamProperties, ModalModel, Mode, analytic_cantilever_modes,
-                    assemble_beam_matrices, cantilever_flexibility,
-                    cantilever_root, fe_beam_modes, load_measured_modes)
+                    assemble_beam_matrices, cantilever_root, fe_beam_modes,
+                    load_measured_modes)
 from .piezo import (CouplingResult, PatchGeometry, PiezoMaterial,
                     coupling_factor, coupling_from_frequencies, delta_thetas,
                     k31_squared)
@@ -35,8 +35,8 @@ __all__ = [
     "InvalidInputError", "InvalidMaterialError", "NumericalError",
     "ParseError", "PiezodampError", "PlacementError",
     "BeamProperties", "ModalModel", "Mode", "analytic_cantilever_modes",
-    "assemble_beam_matrices", "cantilever_flexibility", "cantilever_root",
-    "fe_beam_modes", "load_measured_modes",
+    "assemble_beam_matrices", "cantilever_root", "fe_beam_modes",
+    "load_measured_modes",
     "CouplingResult", "PatchGeometry", "PiezoMaterial", "coupling_factor",
     "coupling_from_frequencies", "delta_thetas", "k31_squared",
     "PlacementProblem", "PlacementResult", "PlacementScan",

@@ -256,23 +256,23 @@ def cmd_analyze(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", "-c", default=argparse.SUPPRESS,
-                        help="project INI file")
-    shared.add_argument("--out-dir", "-o", default=argparse.SUPPRESS,
-                        help="directory for CSV outputs (default: current)")
-    shared.add_argument("--quiet", "-q", action="store_true",
-                        default=argparse.SUPPRESS,
-                        help="suppress the stdout report")
     parser = argparse.ArgumentParser(
         prog="piezodamp",
         description="Design and simulation toolkit for piezoelectric patch "
                     "damping of flexible structures.")
-    parser.add_argument("--config", "-c", default=None, help="project INI file")
-    parser.add_argument("--out-dir", "-o", default=".",
-                        help="directory for CSV outputs (default: current)")
-    parser.add_argument("--quiet", "-q", action="store_true", default=False,
-                        help="suppress the stdout report")
+    # Every flag goes before or after the subcommand; one given after it
+    # overrides the same flag given before it.
+    shared = argparse.ArgumentParser(add_help=False)
+    for names, default, kw in (
+            (("--config", "-c"), None, {"help": "project INI file"}),
+            (("--out-dir", "-o"), ".",
+             {"help": "directory for CSV outputs (default: current)"}),
+            (("--quiet", "-q"), False,
+             {"action": "store_true", "help": "suppress the stdout report"}),
+            (("--verbose", "-v"), False,
+             {"action": "store_true", "help": "log progress notes on stderr"})):
+        parser.add_argument(*names, default=default, **kw)
+        shared.add_argument(*names, default=argparse.SUPPRESS, **kw)
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("modes", parents=[shared],
                    help="export modal frequencies and shapes").set_defaults(
@@ -299,15 +299,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _LevelPrefix(logging.Formatter):
+    """``warning: message``, ``info: message``: the level in lower case."""
+
+    def format(self, record: logging.LogRecord) -> str:
+        return f"{record.levelname.lower()}: {super().format(record)}"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # Bound to this call's stderr, so a caller that swaps sys.stderr between
-    # calls gets the warnings of each call.
-    warn = logging.StreamHandler(sys.stderr)
-    warn.setLevel(logging.WARNING)
-    warn.setFormatter(logging.Formatter("warning: %(message)s"))
+    # calls gets the messages of each call.
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setLevel(logging.INFO if args.verbose else logging.WARNING)
+    handler.setFormatter(_LevelPrefix())
     log = logging.getLogger("piezodamp")
-    log.addHandler(warn)
+    old_level = log.level
+    log.addHandler(handler)
+    if args.verbose:
+        log.setLevel(logging.INFO)
     try:
         return args.func(args)
     except NumericalError as exc:
@@ -320,7 +330,8 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     finally:
-        log.removeHandler(warn)
+        log.removeHandler(handler)
+        log.setLevel(old_level)
 
 
 if __name__ == "__main__":

@@ -259,63 +259,27 @@ def assemble_beam_matrices(props: BeamProperties, n_elements: int):
     return K, M
 
 
-def cantilever_flexibility(props: BeamProperties, n_elements: int) -> np.ndarray:
-    """Inverse of the clamped stiffness matrix ``K[2:, 2:]``, in closed form.
-
-    Hermite elements reproduce a uniform beam's nodal deflections exactly
-    under nodal loads, so the inverse is the cantilever's flexibility between
-    the free nodes x_i, x_j (Maxwell reciprocity). With a = min and b = max
-    of the two, per unit load: deflection per force a^2 (3b - a) / 6EI;
-    slope per moment a / EI; deflection at x_i per moment at x_j
-    x_i^2 / 2EI for x_i <= x_j and x_j (2 x_i - x_j) / 2EI beyond it; slope
-    per force is the transpose of that block. The result is exactly
-    symmetric. DOF ordering is (w_1, theta_1, w_2, theta_2, ...).
-    """
-    if n_elements < 1:
-        raise InvalidInputError("n_elements must be >= 1")
-    le = props.length / n_elements
-    F = _flexibility_pattern(n_elements) * (le ** 3 / (6.0 * props.bending_stiffness))
-    F[1::2] /= le
-    F[:, 1::2] /= le
-    return F
-
-
-def _flexibility_pattern(n_elements: int) -> np.ndarray:
-    """6 EI / le^3 times the cantilever flexibility in the DOFs
-    (w_1, le theta_1, w_2, le theta_2, ...): with x_i = i le every entry is a
-    polynomial in the node numbers, so this matrix holds exact integers."""
-    i = np.arange(1.0, n_elements + 1.0)[:, None]
-    j = i.T
-    a = np.minimum(i, j)
-    b = np.maximum(i, j)
-    G = np.empty((2 * n_elements, 2 * n_elements))
-    G[0::2, 0::2] = a * a * (3.0 * b - a)
-    G[1::2, 1::2] = 6.0 * a
-    w_per_moment = 3.0 * np.where(i <= j, i * i, j * (2.0 * i - j))
-    G[0::2, 1::2] = w_per_moment
-    G[1::2, 0::2] = w_per_moment.T
-    return G
-
-
 def fe_beam_modes(props: BeamProperties, n_elements: int,
                   n_modes: int) -> ModalModel:
     """Finite element cantilever modes from the clamped generalized eigenproblem.
 
     The lowest modes are the largest eigenvalues mu = 1/omega^2 of
-    M v = mu K v, i.e. of F M v = mu v with F = K^-1 the closed-form
-    cantilever flexibility (``cantilever_flexibility``), so nothing is
-    factorized. With slopes scaled by the element length both F and M are a
-    constant times a matrix of integers that depends only on the mesh; the
-    solve runs on those integer matrices and the constants convert the
-    result back, which keeps every beam equally well conditioned.
+    M v = mu K v, i.e. of F M v = mu v with F = K^-1 the cantilever
+    flexibility, so nothing is factorized. With slopes scaled by the element
+    length both F and M are a constant times a matrix of integers that
+    depends only on the mesh; the solve runs on those and the constants
+    convert the result back, which keeps every beam equally well
+    conditioned. Neither matrix is formed: M X is taken element by element
+    and F Y from the moment diagram (``_flexibility_times``), both O(n_dof)
+    per vector.
 
-    The solve is subspace iteration (Bathe & Wilson 1972) on a block of
+    The solve is subspace iteration (Bathe & Wilson 1972) on a block X of
     p = min(n_dof, 2 n_modes + 8) vectors, started from a fixed-seed
-    orthonormal basis. Each pass multiplies the block by M (element by
-    element, so M is never assembled) and then by F, does a Rayleigh-Ritz
-    step on the p x p pencil (X' M F M X, X' M X) and re-orthonormalizes
-    F M X by QR. The Ritz vectors are mass normalized, so modal masses are
-    exactly 1 kg.
+    orthonormal basis. Each pass forms F M X, does a Rayleigh-Ritz step on
+    the p x p pencil (X' M F M X, X' M X) and takes F M X Q / mu as the next
+    block, Q the Ritz rotation and mu the Ritz values; that block stays
+    close to M-orthonormal, so no QR is needed. The Ritz vectors are mass
+    normalized, so modal masses are exactly 1 kg.
 
     The vector error of mode m shrinks by about mu_p / mu_m per pass, so the
     iteration stops at pass k once (mu_p / mu_m)^k falls below the unit
@@ -338,8 +302,7 @@ def fe_beam_modes(props: BeamProperties, n_elements: int,
     # A unit-length element with rhoA = 420 has an integer mass matrix, and
     # M = (rhoA le / 420) N in the scaled DOFs, N assembled from it.
     _, me = beam_element_matrices(1.0, 420.0, 1.0)
-    nus, vecs = _subspace_iteration(_flexibility_pattern(n_elements), me,
-                                    n_modes)
+    nus, vecs = _subspace_iteration(2 * n_elements, me, n_modes)
     rho_le = props.mass_per_length * le
     omegas = np.sqrt(2520.0 * props.bending_stiffness / (rho_le * le ** 3 * nus))
     vecs *= np.sqrt(420.0 / rho_le)
@@ -378,16 +341,34 @@ def _clamped_mass_times(me: np.ndarray, X: np.ndarray) -> np.ndarray:
     return out[1:].reshape(X.shape)
 
 
-def _subspace_iteration(F: np.ndarray, me: np.ndarray, n_modes: int):
-    """Largest n_modes eigenpairs of F M v = mu v, for a symmetric positive
-    definite F and the clamped beam mass M assembled from ``me``: mu
-    descending and M-orthonormal vectors."""
-    n_dof = F.shape[0]
+def _flexibility_times(Y: np.ndarray) -> np.ndarray:
+    """G Y for G = 6 EI / le^3 times the cantilever flexibility in the DOFs
+    (w_1, le theta_1, w_2, le theta_2, ...), from the moment diagram of a
+    unit beam (le = EI = 1) under the nodal forces and moments in Y's rows:
+    reverse sums give the shear and the moment at each element's inboard
+    end, and forward sums of the linear moment give slope and deflection.
+    Hermite elements are exact under nodal loads, so this equals G Y.
+    """
+    shear = np.cumsum(Y[0::2][::-1], axis=0)[::-1]
+    inboard = np.cumsum((Y[1::2] + shear)[::-1], axis=0)[::-1]
+    outboard = inboard - shear
+    slope = 3.0 * np.cumsum(inboard + outboard, axis=0)
+    out = np.empty_like(Y)
+    out[1::2] = slope
+    out[0::2] = np.cumsum(2.0 * inboard + outboard, axis=0)
+    out[2::2] += np.cumsum(slope[:-1], axis=0)
+    return out
+
+
+def _subspace_iteration(n_dof: int, me: np.ndarray, n_modes: int):
+    """Largest n_modes eigenpairs of G M v = mu v, for the flexibility
+    pattern G of ``_flexibility_times`` and the clamped beam mass M
+    assembled from ``me``: mu descending and M-orthonormal vectors."""
     p = min(n_dof, 2 * n_modes + 8)
     X = np.linalg.qr(np.random.default_rng(0).standard_normal((n_dof, p)))[0]
     for k in range(1, _MAX_PASSES + 1):
         Y = _clamped_mass_times(me, X)
-        Z = F @ Y
+        Z = _flexibility_times(Y)
         A = Y.T @ Z
         B = Y.T @ X
         try:
@@ -400,17 +381,23 @@ def _subspace_iteration(F: np.ndarray, me: np.ndarray, n_modes: int):
         if not mus[-1] > 0.0:
             raise NumericalError(
                 f"beam eigensolve returned a non-positive eigenvalue {mus[-1]:g}")
+        Q = np.linalg.solve(L.T, W)
         if p == n_dof or (mus[-1] / mus[n_modes - 1]) ** k <= np.finfo(float).eps:
-            Q = np.linalg.solve(L.T, W[:, :n_modes])
+            Q = Q[:, :n_modes]
             vecs = X @ Q
             residual = np.linalg.norm(Z @ Q - vecs * mus[:n_modes], axis=0)
             ratio = residual / (mus[0] * np.linalg.norm(vecs, axis=0))
+            log.info("beam eigensolve: %d passes, block width %d, worst "
+                     "residual %.3g mu_1", k, p, np.max(ratio))
             if not np.all(ratio <= 1e-10):
                 raise NumericalError(
                     f"beam eigensolve stopped with a residual of "
                     f"{np.max(ratio):.3g} mu_1")
             return mus[:n_modes], vecs
-        X = np.linalg.qr(Z)[0]
+        # X Q are the M-orthonormal Ritz vectors; G M X Q / mu is one more
+        # inverse iteration on each, which keeps the block close to
+        # M-orthonormal without a QR.
+        X = Z @ Q / mus
     raise NumericalError(
         f"beam eigensolve did not converge in {_MAX_PASSES} passes")
 

@@ -1,6 +1,7 @@
 import filecmp
 import hashlib
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -368,6 +369,29 @@ def test_cli_sweep_warning_reaches_stderr_with_prefix(gripper_ini, tmp_path,
     assert len(lines) == 1
     assert lines[0].startswith(
         "warning: gain 42381.2: no half-power estimate: ")
+
+
+@pytest.mark.parametrize("flag_first", [True, False])
+def test_cli_verbose_adds_only_info_lines(tmp_path, capsys, flag_first):
+    ini = _minimal_ini(tmp_path, structure=_FE_STRUCTURE
+                       + "n_modes = 3\nn_elements = 16\n")
+    args = ["--config", str(ini), "--quiet"]
+    log = logging.getLogger("piezodamp")
+    level = log.level
+    assert _run(["modes", "--out-dir", str(tmp_path / "plain")] + args) == 0
+    assert capsys.readouterr().err == ""
+    argv = ["modes", "--out-dir", str(tmp_path / "verbose")] + args
+    argv.insert(0 if flag_first else 1, "-v")
+    assert _run(argv) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("info: beam eigensolve: ")
+    assert "block width 14" in lines[0]
+    for name in ("modes.csv", "shapes.csv"):
+        assert ((tmp_path / "verbose" / name).read_bytes()
+                == (tmp_path / "plain" / name).read_bytes())
+    assert log.level == level
+    assert not log.handlers
 
 
 def test_cli_sweep_solves_each_gain_once(gripper_ini, tmp_path, monkeypatch):

@@ -159,17 +159,81 @@ _beams = st.builds(
     st.floats(-3.0, 2.0).map(lambda e: 10.0 ** e))
 
 
+def _oracle_pattern(n_elements):
+    """6 EI / le^3 times the cantilever flexibility in the DOFs
+    (w_1, le theta_1, w_2, le theta_2, ...), assembled densely by Maxwell
+    reciprocity. With x_i = i le every entry is a polynomial in the node
+    numbers i, j (a = min, b = max): deflection per force a^2 (3b - a),
+    slope per moment 6a, deflection at i per moment at j 3 i^2 for i <= j
+    and 3 j (2i - j) beyond it, and its transpose. So it holds exact
+    integers."""
+    i = np.arange(1.0, n_elements + 1.0)[:, None]
+    j = i.T
+    a = np.minimum(i, j)
+    b = np.maximum(i, j)
+    G = np.empty((2 * n_elements, 2 * n_elements))
+    G[0::2, 0::2] = a * a * (3.0 * b - a)
+    G[1::2, 1::2] = 6.0 * a
+    w_per_moment = 3.0 * np.where(i <= j, i * i, j * (2.0 * i - j))
+    G[0::2, 1::2] = w_per_moment
+    G[1::2, 0::2] = w_per_moment.T
+    return G
+
+
+def _oracle_flexibility(props, n_elements):
+    """Inverse of the clamped stiffness ``K[2:, 2:]`` in the DOFs
+    (w_1, theta_1, w_2, theta_2, ...), from ``_oracle_pattern``."""
+    le = props.length / n_elements
+    F = _oracle_pattern(n_elements) * (le ** 3 / (6.0 * props.bending_stiffness))
+    F[1::2] /= le
+    F[:, 1::2] /= le
+    return F
+
+
 @settings(max_examples=30, deadline=None)
 @given(props=_beams, n_el=st.integers(4, 800))
 @example(props=pd.BeamProperties(1.0, 1.0, 1.0), n_el=800)
 def test_cantilever_flexibility_inverts_stiffness(props, n_el):
-    F = pd.cantilever_flexibility(props, n_el)
+    F = _oracle_flexibility(props, n_el)
     np.testing.assert_array_equal(F, F.T)
     K, _ = pd.assemble_beam_matrices(props, n_el)
     Kf = K[2:, 2:]
     assert not np.any(np.triu(Kf, 4))
     err = np.max(np.abs(_times_banded(F, Kf) - np.eye(2 * n_el)))
     assert err <= 1e-13 * np.max(np.abs(F)) * np.max(np.abs(Kf))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_el=st.integers(4, 800), width=st.integers(1, 64),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n_el=4, width=1, seed=0)
+@example(n_el=800, width=64, seed=0)
+def test_flexibility_product_matches_dense_pattern(n_el, width, seed):
+    Y = np.random.default_rng(seed).standard_normal((2 * n_el, width))
+    ref = _oracle_pattern(n_el) @ Y
+    err = np.max(np.abs(pd.modal._flexibility_times(Y) - ref))
+    assert err <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n_el, n_modes", [(800, 20), (10, 10), (800, 200)])
+def test_fe_frequencies_match_dense_numpy_eigensolve(n_el, n_modes):
+    # The solve runs on G N v = nu v, N the integer mass of unit elements at
+    # rhoA = 420. With N = R R', R' G R is symmetric with the same
+    # eigenvalues, which numpy's dense solver gives to about eps nu_1 each.
+    props = pd.BeamProperties(1.0, 20.0, 1.0)
+    _, N = pd.assemble_beam_matrices(pd.BeamProperties(n_el, 1.0, 420.0), n_el)
+    R = np.linalg.cholesky(N[2:, 2:])
+    nus = np.linalg.eigvalsh(R.T @ _oracle_pattern(n_el) @ R)[::-1][:n_modes]
+    fe = pd.fe_beam_modes(props, n_el, n_modes)
+    omegas = np.array([m.omega for m in fe.modes])
+    le = props.length / n_el
+    scale = 2520.0 * props.bending_stiffness / (props.mass_per_length * le ** 4)
+    assert np.max(np.abs(scale / omegas ** 2 - nus)) <= 1e-14 * nus[0]
+    # Absolute errors of order eps nu_1 are relative errors of order
+    # eps nu_1 / nu_m, so only the lowest modes are held to 1e-10.
+    low = min(n_modes, 20)
+    np.testing.assert_allclose(omegas[:low], np.sqrt(scale / nus[:low]),
+                               rtol=1e-10, atol=0)
 
 
 @settings(max_examples=60, deadline=None)
