@@ -20,12 +20,12 @@ from .piezo import (CouplingResult, PatchGeometry, PiezoMaterial,
 from .placement import (PlacementProblem, PlacementResult, PlacementScan,
                         candidate_positions, optimize_placement,
                         scan_objective)
-from .ppf import (LinearSystem, ModalPlant, PPFConfig, StabilityResult,
-                  build_plant, close_loop, critical_gain, plant_system,
-                  ppf_controller, stability)
+from .ppf import (LinearSystem, ModalPlant, PPFConfig, build_plant,
+                  close_loop, critical_gain, plant_system, ppf_controller,
+                  stability)
 from .frf import (FRF, DampingEstimate, SweepRow, bode_table,
                   closed_loop_frf, default_frequency_grid, find_peaks, frf_of,
-                  gain_sweep, half_power_damping, load_frf_csv, save_frf_csv)
+                  gain_sweep, half_power_damping, load_frf_csv)
 from .config import ProjectConfig, load_config
 
 __version__ = "0.1.0"
@@ -41,12 +41,11 @@ __all__ = [
     "coupling_from_frequencies", "delta_thetas", "k31_squared",
     "PlacementProblem", "PlacementResult", "PlacementScan",
     "candidate_positions", "optimize_placement", "scan_objective",
-    "LinearSystem", "ModalPlant", "PPFConfig", "StabilityResult",
-    "build_plant", "close_loop", "critical_gain", "plant_system",
-    "ppf_controller", "stability",
+    "LinearSystem", "ModalPlant", "PPFConfig", "build_plant", "close_loop",
+    "critical_gain", "plant_system", "ppf_controller", "stability",
     "FRF", "DampingEstimate", "SweepRow", "bode_table", "closed_loop_frf",
     "default_frequency_grid", "find_peaks", "frf_of", "gain_sweep",
-    "half_power_damping", "load_frf_csv", "save_frf_csv",
+    "half_power_damping", "load_frf_csv",
     "ProjectConfig", "load_config",
     "__version__",
 ]

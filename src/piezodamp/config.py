@@ -95,11 +95,15 @@ def _weights(sect, key: str) -> dict[int, float] | None:
                 f"[{sect.name}] {key}: entry {item!r} must look like 'mode:weight'")
         mode_s, weight_s = item.split(":", 1)
         try:
-            out[int(mode_s)] = _finite(sect, key, float(weight_s))
+            mode, weight = int(mode_s), _finite(sect, key, float(weight_s))
         except ValueError:
             raise ConfigError(
                 f"[{sect.name}] {key}: entry {item!r} must look like "
                 "'mode:weight'") from None
+        if mode in out:
+            raise ConfigError(
+                f"[{sect.name}] {key}: entry {item!r} repeats mode {mode}")
+        out[mode] = weight
     if not out:
         raise ConfigError(f"[{sect.name}] {key} is empty")
     return out

@@ -44,10 +44,6 @@ class FRF:
         if np.any(~ok & ~self.flagged):
             raise InvalidInputError("non-finite response at an unflagged sample")
 
-    @property
-    def n_flagged(self) -> int:
-        return int(np.count_nonzero(self.flagged))
-
 
 def frf_of(sys: LinearSystem, freqs_hz) -> FRF:
     """Frequency response C (jw I - A)^-1 B + D, one linear solve per point.
@@ -132,14 +128,6 @@ def load_frf_csv(path) -> FRF:
         raise ParseError(
             f"{path}: freq_hz must be positive and strictly increasing")
     return FRF(freqs, vals)
-
-
-def save_frf_csv(frf: FRF, path) -> None:
-    """Write freq_hz,real,imag at full precision so a reload round-trips."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("freq_hz,real,imag\n")
-        for f, v in zip(frf.freqs_hz, frf.values):
-            fh.write(f"{f:.17g},{v.real:.17g},{v.imag:.17g}\n")
 
 
 def find_peaks(frf: FRF, band_hz, min_prominence_db: float = 3.0) -> list[int]:
@@ -264,10 +252,6 @@ class DampingEstimate:
     def damping_pct(self) -> float:
         return 100.0 * self.zeta
 
-    @property
-    def bandwidth(self) -> float:
-        return self.f_hi - self.f_lo
-
 
 def half_power_damping(frf: FRF, peak_index: int) -> DampingEstimate:
     """Half-power (-3 dB) bandwidth metrics around one interior peak.
@@ -312,9 +296,9 @@ def default_frequency_grid(center_hz: float) -> np.ndarray:
 
 @dataclass
 class SweepRow:
-    """One gain of a sweep. The closed-loop response is None for unstable
-    loops; the estimate is None for unstable loops and for stable loops
-    whose response has no peak a half-power estimate can be read from.
+    """One gain of a sweep. The closed-loop response is None exactly for
+    unstable loops; the estimate is None for unstable loops and for stable
+    loops whose response has no peak a half-power estimate can be read from.
 
     A stable row keeps its whole closed-loop ``FRF`` (values and flags on the
     sweep grid) for as long as the row lives, so a sweep's rows hold about
@@ -322,9 +306,12 @@ class SweepRow:
     """
 
     gain: float
-    stable: bool
     estimate: DampingEstimate | None
-    response: FRF | None = None
+    response: FRF | None
+
+    @property
+    def stable(self) -> bool:
+        return self.response is not None
 
 
 def gain_sweep(plant: ModalPlant, cfg: PPFConfig, gains, freqs_hz=None,
@@ -354,8 +341,8 @@ def gain_sweep(plant: ModalPlant, cfg: PPFConfig, gains, freqs_hz=None,
     rows = []
     for g in gain_list:
         loop = replace(cfg, gain=g)
-        if not stability(close_loop(psys, ppf_controller(loop))).stable:
-            rows.append(SweepRow(g, False, None))
+        if not stability(close_loop(psys, ppf_controller(loop))):
+            rows.append(SweepRow(g, None, None))
             continue
         resp = closed_loop_frf(plant, loop, freqs_hz)
         try:
@@ -371,7 +358,7 @@ def gain_sweep(plant: ModalPlant, cfg: PPFConfig, gains, freqs_hz=None,
         except (InvalidInputError, BandwidthError) as exc:
             log.warning("gain %g: no half-power estimate: %s", g, exc)
             estimate = None
-        rows.append(SweepRow(g, True, estimate, resp))
+        rows.append(SweepRow(g, estimate, resp))
     return rows
 
 

@@ -114,7 +114,11 @@ class ModalModel:
         omegas = [m.omega for m in self.modes]
         if any(b <= a for a, b in zip(omegas, omegas[1:])):
             raise InvalidInputError("modes must be sorted by strictly increasing omega")
-        for m in self.modes:
+        for position, m in enumerate(self.modes, start=1):
+            if m.index != position:
+                raise InvalidInputError(
+                    f"mode {m.index} is listed at position {position}; mode "
+                    "indices must count 1, 2, ... in order")
             if m.phi.shape != x.shape or m.theta.shape != x.shape:
                 raise InvalidInputError(
                     f"mode {m.index}: shape sample count does not match the grid")

@@ -179,21 +179,15 @@ def close_loop(plant_sys: LinearSystem, ctrl_sys: LinearSystem) -> LinearSystem:
     return LinearSystem(A, B, C, np.zeros((1, 1)))
 
 
-@dataclass
-class StabilityResult:
-    stable: bool
-    max_real_part: float
-
-
-def stability(sys: LinearSystem, tol_margin: float | None = None) -> StabilityResult:
-    """Classify by the largest eigenvalue real part.
+def stability(sys: LinearSystem, tol_margin: float | None = None) -> bool:
+    """True when every eigenvalue of A has real part below -tol_margin.
 
     The default margin 1e-9 * max|A| keeps eigensolver roundoff on lightly
     damped poles from flipping the verdict; pass 0 for a raw comparison.
     """
     A = sys.A
     if A.shape[0] == 0:
-        return StabilityResult(True, float("-inf"))
+        return True
     try:
         ev = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
@@ -201,7 +195,7 @@ def stability(sys: LinearSystem, tol_margin: float | None = None) -> StabilityRe
     max_re = float(np.max(ev.real))
     if tol_margin is None:
         tol_margin = 1e-9 * float(np.max(np.abs(A)))
-    return StabilityResult(max_re < -tol_margin, max_re)
+    return max_re < -float(tol_margin)
 
 
 def critical_gain(plant: ModalPlant, cfg: PPFConfig) -> float:

@@ -150,7 +150,9 @@ def test_config_errors(tmp_path, gripper_ini):
              r"\[analysis\] mode_weights index 5 is above the 2 modes of "
              r"\[structure\]"),
             ("step_m = 0.1", "step_m = 0.1\nmode_weights = 1:1.0, 2:-0.5",
-             r"\[analysis\] mode_weights must be >= 0")]:
+             r"\[analysis\] mode_weights must be >= 0"),
+            ("step_m = 0.1", "step_m = 0.1\nmode_weights = 1:1.0, 2:1.0, 1:0.0",
+             r"\[analysis\] mode_weights: entry '1:0.0' repeats mode 1")]:
         path = _minimal_ini(tmp_path)
         path.write_text(path.read_text().replace(old, new))
         with pytest.raises(ConfigError, match=message):

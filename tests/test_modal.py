@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -477,6 +479,11 @@ def test_modal_model_validation(unit_model):
         pd.ModalModel(unit_model.grid,
                       [unit_model.modes[1], unit_model.modes[0]],
                       "analytic")
+    # Mode indices are positions: build_plant and coupling_factor look a
+    # mode up by its index, so a gap would select the wrong mode.
+    with pytest.raises(InvalidInputError, match="mode 3 is listed at position 2"):
+        pd.ModalModel(unit_model.grid,
+                      [m, replace(unit_model.modes[1], index=3)], "analytic")
     with pytest.raises(InvalidInputError, match="index"):
         unit_model.mode(0)
     with pytest.raises(InvalidInputError, match="index"):

@@ -25,3 +25,12 @@ def test_readme_api_quick_start_runs_without_warnings():
                          env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[0] == "[0.0]"
+
+
+def test_export_list_names_each_public_name_once():
+    assert len(set(pd.__all__)) == len(pd.__all__)
+    assert all(hasattr(pd, name) for name in pd.__all__)
+    namespace: dict = {}
+    exec("from piezodamp import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(pd.__all__)
