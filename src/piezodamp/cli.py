@@ -75,10 +75,10 @@ def _say(args, text: str) -> None:
 
 
 def _loop(cfg: ProjectConfig):
-    """The configured model, its plant over every mode, and the filter."""
+    """The plant over every mode of the configured model, and the filter."""
     model = cfg.build_model()
-    plant = build_plant(model, cfg.patch, [m.index for m in model.modes])
-    return model, plant, PPFConfig.from_hz(cfg.ppf_freq_hz, cfg.ppf_zeta)
+    plant = build_plant(model, cfg.patch, range(1, model.n_modes + 1))
+    return plant, PPFConfig.from_hz(cfg.ppf_freq_hz, cfg.ppf_zeta)
 
 
 def cmd_modes(args) -> int:
@@ -86,19 +86,20 @@ def cmd_modes(args) -> int:
     cfg = _require_config(args)
     out = _out_dir(args)
     model = cfg.build_model()
+    numbers = range(1, model.n_modes + 1)
     _write_csv(out / "modes.csv",
                ["mode", "freq_hz", "omega_rad_s", "zeta", "modal_mass_kg"],
-               [(m.index, m.freq_hz, m.omega, m.zeta, m.modal_mass)
-                for m in model.modes])
-    header = (["x_m"] + [f"phi{m.index}" for m in model.modes]
-              + [f"theta{m.index}" for m in model.modes])
+               [(k, m.freq_hz, m.omega, m.zeta, 1.0)
+                for k, m in zip(numbers, model.modes)])
+    header = (["x_m"] + [f"phi{k}" for k in numbers]
+              + [f"theta{k}" for k in numbers])
     _write_csv(out / "shapes.csv", header, zip(*(
         c.tolist() for c in [model.grid] + [m.phi for m in model.modes]
         + [m.theta for m in model.modes])))
     _say(args, f"{model.source} model, {model.n_modes} modes on "
                f"{model.grid.size} points over {_fmt(model.length)} m")
-    for m in model.modes:
-        _say(args, f"  mode {m.index}: {_fmt(m.freq_hz)} Hz, "
+    for k, m in zip(numbers, model.modes):
+        _say(args, f"  mode {k}: {_fmt(m.freq_hz)} Hz, "
                    f"zeta {_fmt(m.zeta)}")
     _say(args, f"wrote {out / 'modes.csv'} and {out / 'shapes.csv'}")
     return 0
@@ -109,8 +110,8 @@ def cmd_coupling(args) -> int:
     cfg = _require_config(args)
     out = _out_dir(args)
     model = cfg.build_model()
-    results = [coupling_factor(model, cfg.patch, cfg.material, m.index)
-               for m in model.modes]
+    results = [coupling_factor(model, cfg.patch, cfg.material, k)
+               for k in range(1, model.n_modes + 1)]
     _write_csv(out / "coupling.csv",
                ["mode", "freq_hz", "delta_theta_per_m", "K2", "f_open_hz",
                 "relative"],
@@ -140,7 +141,7 @@ def cmd_place(args) -> int:
     result = optimize_placement(problem)
     scan, rows = result.scan, result.rows
     header = (["x_start_m", "objective"]
-              + [f"K2_mode{m.index}" for m in model.modes])
+              + [f"K2_mode{k}" for k in range(1, model.n_modes + 1)])
     table = np.column_stack([scan.x_starts, scan.objective, scan.k2])
     _write_csv(out / "scan.csv", header, map(tuple, table.tolist()))
     _write_csv(out / "placement.csv", header,
@@ -160,14 +161,14 @@ def cmd_ppf_design(args) -> int:
     """Size the filter against the plant and report the critical gain."""
     cfg = _require_config(args)
     out = _out_dir(args)
-    model, plant, filt = _loop(cfg)
+    plant, filt = _loop(cfg)
     gcrit = critical_gain(plant, filt)
     _write_csv(out / "ppf_summary.csv",
                ["filter_freq_hz", "filter_zeta", "critical_gain"],
                [(cfg.ppf_freq_hz, cfg.ppf_zeta, gcrit)])
     _write_csv(out / "plant_modes.csv",
                ["mode", "freq_hz", "zeta", "influence"],
-               [(model.modes[i].index, plant.omegas[i] / TWO_PI,
+               [(i + 1, plant.omegas[i] / TWO_PI,
                  plant.zetas[i], plant.b[i]) for i in range(plant.n_modes)])
     write_state_space_csv(plant_system(plant), out / "plant_ss.csv")
     write_state_space_csv(ppf_controller(PPFConfig(filt.omega_f, filt.zeta_f,
@@ -188,7 +189,7 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args)
     if not cfg.gains:
         raise ConfigError("[ppf] gains is required for the sweep command")
-    _, plant, filt = _loop(cfg)
+    plant, filt = _loop(cfg)
     freqs = np.linspace(cfg.band_hz[0], cfg.band_hz[1], cfg.n_freq)
     rows = gain_sweep(plant, filt, cfg.gains, freqs_hz=freqs,
                       min_prominence_db=cfg.min_prominence_db)
@@ -223,13 +224,13 @@ def cmd_analyze(args) -> int:
     out = _out_dir(args)
     frf = load_frf_csv(args.frf)
     if args.band:
-        parts = args.band.split(",")
-        if len(parts) != 2:
-            raise InvalidInputError("--band must look like 'lo,hi' in Hz")
         try:
-            band = (float(parts[0]), float(parts[1]))
-        except ValueError:
-            raise InvalidInputError("--band must look like 'lo,hi' in Hz") from None
+            lo, hi = (float(t) for t in args.band.split(","))
+        except ValueError:  # not two numbers
+            lo = hi = np.nan
+        if not np.isfinite([lo, hi]).all():
+            raise InvalidInputError("--band must look like 'lo,hi' in Hz")
+        band = (lo, hi)
     elif args.config:
         band = load_config(args.config).band_hz
     else:

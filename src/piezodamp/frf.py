@@ -137,6 +137,10 @@ def find_peaks(frf: FRF, band_hz, min_prominence_db: float = 3.0) -> list[int]:
     Record boundaries are never reported as peaks. Flagged samples inside
     the band are rejected; re-run the response on a shifted grid instead.
     """
+    if not 0.0 < min_prominence_db < np.inf:
+        raise InvalidInputError(
+            f"min_prominence_db must be positive and finite, got "
+            f"{min_prominence_db:g}")
     lo, hi = float(band_hz[0]), float(band_hz[1])
     f = frf.freqs_hz
     if lo >= hi:

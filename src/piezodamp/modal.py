@@ -53,31 +53,16 @@ class Mode:
     """One vibration mode sampled on the model grid.
 
     ``phi`` is the transverse shape, ``theta`` its slope d(phi)/dx in 1/m.
-    ``modal_mass`` is in kg for mass-normalized models and pinned to 1 for
-    unit-peak measured shapes.
+    The shape carries the normalization, so every modal mass is 1. The
+    ``ModalModel`` holding the mode numbers it by position and checks it.
     """
 
-    index: int
     omega: float
-    modal_mass: float
     zeta: float
     phi: np.ndarray
     theta: np.ndarray
 
     def __post_init__(self):
-        if self.index < 1:
-            raise InvalidInputError("mode index is 1-based")
-        if self.omega <= 0.0:
-            raise InvalidInputError(f"mode {self.index}: omega must be positive")
-        w = float(self.omega)
-        if not math.isfinite(w * w):
-            raise InvalidInputError(
-                f"mode {self.index}: omega = {w:g} rad/s is not finite or "
-                "its square overflows")
-        if self.modal_mass <= 0.0:
-            raise InvalidInputError(f"mode {self.index}: modal mass must be positive")
-        if not 0.0 <= self.zeta < 1.0:
-            raise InvalidInputError(f"mode {self.index}: zeta must lie in [0, 1)")
         self.phi = np.asarray(self.phi, dtype=float)
         self.theta = np.asarray(self.theta, dtype=float)
 
@@ -88,7 +73,8 @@ class Mode:
 
 @dataclass
 class ModalModel:
-    """A set of modes sharing one sampling line along the structure.
+    """A set of modes sharing one sampling line along the structure; mode k
+    is ``modes[k - 1]``.
 
     The normalization follows from ``source``: measured shapes are scaled to
     unit peak, analytic and finite element modes are mass normalized.
@@ -111,17 +97,22 @@ class ModalModel:
             raise InvalidInputError("model must contain at least one mode")
         if self.source not in (SOURCE_ANALYTIC, SOURCE_FE, SOURCE_MEASURED):
             raise InvalidInputError(f"unknown model source {self.source!r}")
+        for k, m in enumerate(self.modes, start=1):
+            w = float(m.omega)
+            if w <= 0.0:
+                raise InvalidInputError(f"mode {k}: omega must be positive")
+            if not math.isfinite(w * w):
+                raise InvalidInputError(
+                    f"mode {k}: omega = {w:g} rad/s is not finite or its "
+                    "square overflows")
+            if not 0.0 <= m.zeta < 1.0:
+                raise InvalidInputError(f"mode {k}: zeta must lie in [0, 1)")
+            if m.phi.shape != x.shape or m.theta.shape != x.shape:
+                raise InvalidInputError(
+                    f"mode {k}: shape sample count does not match the grid")
         omegas = [m.omega for m in self.modes]
         if any(b <= a for a, b in zip(omegas, omegas[1:])):
             raise InvalidInputError("modes must be sorted by strictly increasing omega")
-        for position, m in enumerate(self.modes, start=1):
-            if m.index != position:
-                raise InvalidInputError(
-                    f"mode {m.index} is listed at position {position}; mode "
-                    "indices must count 1, 2, ... in order")
-            if m.phi.shape != x.shape or m.theta.shape != x.shape:
-                raise InvalidInputError(
-                    f"mode {m.index}: shape sample count does not match the grid")
 
     @property
     def length(self) -> float:
@@ -219,8 +210,7 @@ def analytic_cantilever_modes(props: BeamProperties, n_modes: int,
         if theta[-1] < 0.0:
             phi = -phi
             theta = -theta
-        modes.append(Mode(i, float(omega), 1.0, props.structural_damping,
-                          phi, theta))
+        modes.append(Mode(float(omega), props.structural_damping, phi, theta))
     return ModalModel(x, modes, SOURCE_ANALYTIC)
 
 
@@ -321,8 +311,8 @@ def fe_beam_modes(props: BeamProperties, n_elements: int,
         if theta[-1] < 0.0:
             phi = -phi
             theta = -theta
-        modes.append(Mode(i + 1, float(omegas[i]), 1.0,
-                          props.structural_damping, phi, theta))
+        modes.append(Mode(float(omegas[i]), props.structural_damping,
+                          phi, theta))
     return ModalModel(x, modes, SOURCE_FE)
 
 
@@ -526,13 +516,13 @@ def load_measured_modes(path, frequencies_hz, damping=None,
 
     order = np.argsort(freqs, kind="stable")
     modes = []
-    for rank, col in enumerate(order):
+    for col in order:
         peak = np.max(np.abs(shapes[col]))
         if peak == 0.0:
             raise ParseError(
                 f"{path}: column {header[col + 1]!r} is identically zero")
         phi = shapes[col] / peak
-        modes.append(Mode(rank + 1, TWO_PI * freqs[col], 1.0, zetas[col],
-                          phi, np.gradient(phi, x, edge_order=2)))
+        modes.append(Mode(TWO_PI * freqs[col], zetas[col], phi,
+                          np.gradient(phi, x, edge_order=2)))
     return ModalModel(x, modes, SOURCE_MEASURED)
 

@@ -5,7 +5,8 @@ The coupling factor of mode i for a patch spanning [x_s, x_s + l] is
     K2_i = k31^2 / (1 - k31^2) * dtheta_i^2 / (mu_i w_i^2)
            * E_p b_p t_p z_m^2 / l
 
-with dtheta_i the difference of the mode slope between the patch ends. The
+with dtheta_i the difference of the mode slope between the patch ends and
+mu_i = 1 the modal mass, which the shape's normalization carries. The
 open-circuit frequency follows as w_i sqrt(1 + K2_i).
 """
 
@@ -152,7 +153,7 @@ def coupling_coefficients(model: ModalModel, patch: PatchGeometry,
     except OverflowError:
         geom = np.inf
     material_term = k2m / (1.0 - k2m)
-    coef = np.array([material_term * geom / (m.modal_mass * m.omega * m.omega)
+    coef = np.array([material_term * geom / (m.omega * m.omega)
                      for m in model.modes])
     if not np.all(np.isfinite(coef)):
         raise InvalidInputError(

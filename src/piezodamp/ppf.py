@@ -142,7 +142,7 @@ def build_plant(model: ModalModel, patch: PatchGeometry,
     if not modes:
         raise InvalidInputError("selected_modes must not be empty")
     dth = delta_thetas(model, patch.length, [patch.x_start])[0]
-    dth = dth[[m.index - 1 for m in modes]]
+    dth = dth[[i - 1 for i in selected_modes]]
     peak = float(np.max(np.abs(dth)))
     if peak == 0.0:
         raise DegeneratePlantError(

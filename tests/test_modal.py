@@ -64,7 +64,6 @@ def test_analytic_shapes_mass_normalized(unit_beam):
     for m in model.modes:
         mu = simpson(m.phi * m.phi, x=model.grid) * unit_beam.mass_per_length
         assert mu == pytest.approx(1.0, rel=1e-6)
-        assert m.modal_mass == 1.0
 
 
 def test_analytic_shapes_orthogonal(unit_beam):
@@ -117,7 +116,6 @@ def test_fe_matches_analytic(unit_beam, unit_model):
     fe = pd.fe_beam_modes(unit_beam, 64, 4)
     for ma, mf in zip(unit_model.modes, fe.modes):
         assert mf.omega == pytest.approx(ma.omega, rel=1e-5)
-        assert mf.modal_mass == 1.0
         assert mf.phi[0] == 0.0
         assert mf.theta[0] == 0.0
         assert mf.theta[-1] >= 0.0
@@ -323,7 +321,6 @@ def test_load_measured_round_trip(tmp_path, unit_model):
     for m, fz, z in zip(model.modes, freqs, [0.01, 0.02]):
         assert m.freq_hz == pytest.approx(fz, rel=1e-15)
         assert m.zeta == z
-        assert m.modal_mass == 1.0
         assert np.max(np.abs(m.phi)) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -410,6 +407,12 @@ def test_load_measured_parse_errors(tmp_path):
         pd.load_measured_modes(f, [3.0])
 
     f.write_text("x_m,mode1\n" + "\n".join(
+        f"{x},1" for x in (0, 0.1, 0.2, 0.2, 0.4, 0.5, 0.6, 0.7)) + "\n")
+    with pytest.raises(ParseError, match="x_m must be strictly increasing; "
+                                         "row 4 of the data violates this"):
+        pd.load_measured_modes(f, [3.0])
+
+    f.write_text("x_m,mode1\n" + "\n".join(
         f"{(v + 1) / 10},1" for v in range(8)) + "\n")
     with pytest.raises(ParseError, match="must be 0"):
         pd.load_measured_modes(f, [3.0])
@@ -479,11 +482,19 @@ def test_modal_model_validation(unit_model):
         pd.ModalModel(unit_model.grid,
                       [unit_model.modes[1], unit_model.modes[0]],
                       "analytic")
-    # Mode indices are positions: build_plant and coupling_factor look a
-    # mode up by its index, so a gap would select the wrong mode.
-    with pytest.raises(InvalidInputError, match="mode 3 is listed at position 2"):
-        pd.ModalModel(unit_model.grid,
-                      [m, replace(unit_model.modes[1], index=3)], "analytic")
+    # Each mode is checked under its position, before the sort check.
+    for bad, message in (
+            (replace(m, omega=0.0), "mode 2: omega must be positive"),
+            (replace(m, omega=1e300), r"mode 2: omega = 1e\+300 rad/s is "
+                                      "not finite or its square overflows"),
+            (replace(m, omega=np.nan), "mode 2: omega = nan rad/s"),
+            (replace(m, zeta=1.0), r"mode 2: zeta must lie in \[0, 1\)"),
+            (replace(m, zeta=-0.1), r"mode 2: zeta must lie in \[0, 1\)"),
+            (replace(m, phi=m.phi[:-1]),
+             "mode 2: shape sample count does not match the grid")):
+        with pytest.raises(InvalidInputError, match=message):
+            pd.ModalModel(unit_model.grid, [unit_model.modes[1], bad],
+                          "analytic")
     with pytest.raises(InvalidInputError, match="index"):
         unit_model.mode(0)
     with pytest.raises(InvalidInputError, match="index"):

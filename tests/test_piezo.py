@@ -39,7 +39,7 @@ def _ramp_model(omega=2.0 * np.pi * 10.0):
     x = np.linspace(0.0, 1.0, 11)
     phi = x * x
     theta = 2.0 * x
-    mode = pd.Mode(1, omega, 1.0, 0.01, phi, theta)
+    mode = pd.Mode(omega, 0.01, phi, theta)
     return pd.ModalModel(x, [mode], "analytic")
 
 
@@ -75,8 +75,8 @@ def test_coupling_scales_with_shape_squared(material, unit_model):
     base = pd.coupling_factor(unit_model, patch, material, 1)
     c = 3.0
     scaled_modes = [
-        pd.Mode(m.index, m.omega, m.modal_mass, m.zeta, c * m.phi,
-                c * m.theta) for m in unit_model.modes
+        pd.Mode(m.omega, m.zeta, c * m.phi, c * m.theta)
+        for m in unit_model.modes
     ]
     scaled = pd.ModalModel(unit_model.grid, scaled_modes, "analytic")
     r = pd.coupling_factor(scaled, patch, material, 1)
@@ -86,14 +86,17 @@ def test_coupling_scales_with_shape_squared(material, unit_model):
 def test_coupling_units_si_vs_mm(material, unit_model):
     # Same physics in a millimetre system: lengths *1e3, compliance in
     # mm^2/N (*1e6), permittivity in C^2/(N mm^2) (*1e-6), mass in tonnes
-    # (*1e-3). K2 is dimensionless and must not move.
+    # (*1e-3). A modal mass of 1 kg is 1e-3 t, so the shapes are divided by
+    # sqrt(1e-3) to stay mass normalized. K2 is dimensionless and must not
+    # move.
     patch_si = pd.PatchGeometry(0.2, 0.02, 0.0005, 0.00125, x_start=0.1)
     r_si = pd.coupling_factor(unit_model, patch_si, material, 1)
 
     mm = 1e3
+    tonne = np.sqrt(1e-3)
     modes_mm = [
-        pd.Mode(m.index, m.omega, m.modal_mass * 1e-3, m.zeta, m.phi,
-                m.theta / mm) for m in unit_model.modes
+        pd.Mode(m.omega, m.zeta, m.phi / tonne, m.theta / mm / tonne)
+        for m in unit_model.modes
     ]
     model_mm = pd.ModalModel(unit_model.grid * mm, modes_mm, "analytic")
     mat_mm = pd.PiezoMaterial(material.d31, material.s11E * 1e6,
@@ -139,6 +142,29 @@ def test_delta_thetas_matches_interp(unit_model):
         ref = (np.interp(starts + 0.15, unit_model.grid, m.theta)
                - np.interp(starts, unit_model.grid, m.theta))
         np.testing.assert_allclose(got[:, j], ref, rtol=1e-12, atol=1e-15)
+
+
+def test_delta_thetas_match_interp_on_a_nonuniform_grid():
+    rng = np.random.default_rng(3)
+    x = np.sort(rng.uniform(0.0, 1.0, 41))
+    x[0], x[-1] = 0.0, 1.0
+    theta = rng.standard_normal((3, 41))
+    model = pd.ModalModel(x, [pd.Mode(w, 0.01, t, t) for w, t in
+                              zip([1.0, 2.0, 3.0], theta)], "analytic")
+    starts = np.array([0.0, 0.13, 0.4, 0.77])
+    got = pd.delta_thetas(model, 0.2, starts)
+    for j in range(3):
+        ref = (np.interp(starts + 0.2, x, theta[j])
+               - np.interp(starts, x, theta[j]))
+        np.testing.assert_allclose(got[:, j], ref, rtol=1e-12, atol=1e-15)
+
+
+def test_delta_thetas_clamp_to_grid_ends_within_tolerance():
+    # Edges up to 1e-9 L past either end of the grid are accepted and read
+    # the end values, not a linear extrapolation.
+    model = _ramp_model()
+    got = pd.delta_thetas(model, 1.0 + 1e-9, [-5e-10])
+    assert got[0, 0] == model.modes[0].theta[-1] - model.modes[0].theta[0]
 
 
 def test_coupling_from_frequencies_round_trip():

@@ -41,8 +41,8 @@ def test_scan_matches_per_position_coupling(unit_model, material, patch):
     from dataclasses import replace
     for i, x0 in enumerate(scan.x_starts):
         placed = replace(patch, x_start=float(x0))
-        for j, m in enumerate(unit_model.modes):
-            r = pd.coupling_factor(unit_model, placed, material, m.index)
+        for j in range(unit_model.n_modes):
+            r = pd.coupling_factor(unit_model, placed, material, j + 1)
             assert scan.k2[i, j] == r.k2
         expect = sum(w * scan.k2[i, idx - 1] for idx, w in weights.items())
         assert scan.objective[i] == pytest.approx(expect, rel=1e-15)
@@ -60,7 +60,7 @@ def test_single_patch_is_exact_argmax(unit_model, material, patch):
 def test_tie_breaks_to_smallest_x(material):
     # Constant slope makes every candidate identical.
     x = np.linspace(0.0, 1.0, 21)
-    mode = pd.Mode(1, 10.0, 1.0, 0.01, x.copy(), np.ones_like(x))
+    mode = pd.Mode(10.0, 0.01, x.copy(), np.ones_like(x))
     model = pd.ModalModel(x, [mode], "analytic")
     patch = pd.PatchGeometry(0.2, 0.02, 0.0005, 0.00125)
     prob = _problem(model, material, patch, weights={1: 1.0}, step=0.1)

@@ -70,10 +70,30 @@ def test_build_plant_subset(unit_model, patch):
     assert plant.b[0] == 1.0 or plant.b[0] == -1.0
 
 
+def test_shape_scale_reaches_coupling_and_plant_alike(unit_model, patch,
+                                                      material):
+    # The shape carries the modal mass: halving mode 2's shape, a modal mass
+    # of 4 in the units of the old shape, quarters its K2 and halves its
+    # influence relative to mode 1.
+    m1, m2, m3 = unit_model.modes[:3]
+    scaled = pd.ModalModel(unit_model.grid, [
+        m1, pd.Mode(m2.omega, m2.zeta, m2.phi / 2.0, m2.theta / 2.0), m3],
+        "analytic")
+    k2 = [pd.coupling_factor(model, patch, material, 2).k2
+          for model in (unit_model, scaled)]
+    assert k2[1] == pytest.approx(k2[0] / 4.0, rel=1e-14)
+    base, half = (pd.build_plant(model, patch, [1, 2, 3])
+                  for model in (unit_model, scaled))
+    assert half.b[1] / half.b[0] == pytest.approx(
+        0.5 * base.b[1] / base.b[0], rel=1e-14)
+    assert half.b[2] / half.b[0] == pytest.approx(base.b[2] / base.b[0],
+                                                  rel=1e-14)
+
+
 def test_build_plant_degenerate():
     # Constant slope: zero slope difference for every patch position.
     x = np.linspace(0.0, 1.0, 21)
-    mode = pd.Mode(1, 10.0, 1.0, 0.01, x.copy(), np.ones_like(x))
+    mode = pd.Mode(10.0, 0.01, x.copy(), np.ones_like(x))
     model = pd.ModalModel(x, [mode], "analytic")
     patch = pd.PatchGeometry(0.2, 0.02, 0.0005, 0.00125)
     with pytest.raises(DegeneratePlantError):
