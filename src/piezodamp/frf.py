@@ -157,10 +157,13 @@ def find_peaks(frf: FRF, band_hz, min_prominence_db: float = 3.0) -> list[int]:
         raise InvalidInputError(
             "the band contains flagged (singular) samples; re-evaluate the "
             "response on a shifted grid")
-    mag = np.abs(frf.values)
-    db = 20.0 * np.log10(np.maximum(mag, 1e-300))
-    peaks = _prominent_peaks(db, min_prominence_db)
+    peaks = _prominent_peaks(_db(np.abs(frf.values)), min_prominence_db)
     return [int(i) for i in peaks if in_band[i]]
+
+
+def _db(mag):
+    """|H| in dB, the scale ``find_peaks`` compares samples on."""
+    return 20.0 * np.log10(np.maximum(mag, 1e-300))
 
 
 def _prominent_peaks(x, min_prominence: float) -> np.ndarray:
@@ -270,8 +273,12 @@ def half_power_damping(frf: FRF, peak_index: int) -> DampingEstimate:
         raise InvalidInputError("peak index must be interior to the record")
     if frf.flagged[i]:
         raise InvalidInputError(f"sample {i} is flagged as singular")
-    if not (mag[i] > mag[i - 1] and mag[i] > mag[i + 1]):
-        raise InvalidInputError(f"sample {i} is not a strict local maximum")
+    # On find_peaks' scale and with >= on both sides, so the middle sample
+    # it reports of a flat top passes, also when magnitudes parsed from a
+    # (mag, phase) record differ in the last bit.
+    before, top, after = _db(mag[i - 1:i + 2])
+    if not (top >= before and top >= after):
+        raise InvalidInputError(f"sample {i} is not a local maximum")
     peak = float(mag[i])
     thr = peak / np.sqrt(2.0)
     a = i

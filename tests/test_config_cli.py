@@ -515,6 +515,22 @@ def test_cli_exit_code_validation_error(tmp_path, capsys):
     assert code == 1
 
 
+def test_cli_analyze_rounded_polar_record(gripper_frf_csv, tmp_path):
+    # Magnitudes rounded to three digits flatten both peaks into plateaus;
+    # the estimates stay near the full-precision 1.547 % and 1.000 %.
+    frf = pd.load_frf_csv(gripper_frf_csv)
+    record = tmp_path / "rounded.csv"
+    with open(record, "w", encoding="utf-8") as fh:
+        fh.write("freq_hz,mag,phase_deg\n")
+        for f, v in zip(frf.freqs_hz, frf.values):
+            fh.write("%.17g,%.3g,%.17g\n" % (f, abs(v), np.degrees(np.angle(v))))
+    assert _run(["analyze", "--frf", str(record), "--band", "50,90",
+                 "--out-dir", str(tmp_path), "--quiet"]) == 0
+    table = np.loadtxt(tmp_path / "analyze.csv", delimiter=",", skiprows=1)
+    np.testing.assert_allclose(table[:, -1], [1.54830845, 0.999775424],
+                               rtol=1e-8)
+
+
 def test_cli_exit_code_data_error(gripper_frf_csv, tmp_path, capsys):
     # Flat region of the record: no peaks, a data condition, not a crash.
     code = _run(["analyze", "--frf", str(gripper_frf_csv),

@@ -260,6 +260,28 @@ def test_half_power_missing_crossing_sides():
         pd.half_power_damping(frf, peak)
 
 
+@pytest.mark.parametrize("width", [2, 3])
+@pytest.mark.parametrize("last_ulp", [0, 1])
+def test_half_power_accepts_flat_top_that_find_peaks_reports(width, last_ulp):
+    # A record rounded to few digits flattens the top into a plateau, and
+    # find_peaks reports its middle sample. Rebuilt from magnitude and
+    # phase, the plateau's magnitudes may differ in the last bit, which the
+    # dB scale does not resolve.
+    zeta = 0.02
+    frf = pd.frf_of(pd.plant_system(_sdof(50.0, zeta)),
+                    np.linspace(45.0, 55.0, 401))
+    values = frf.values.copy()
+    top = int(np.argmax(np.abs(values)))
+    flat = np.full(width, np.abs(values[top]))
+    flat[-1] += last_ulp * np.spacing(flat[-1])
+    values[top:top + width] = flat
+    flat_frf = pd.FRF(frf.freqs_hz, values)
+    peaks = pd.find_peaks(flat_frf, (45.0, 55.0))
+    assert peaks == [top + (width - 1) // 2]
+    est = pd.half_power_damping(flat_frf, peaks[0])
+    assert est.zeta == pytest.approx(zeta, rel=0.01)
+
+
 def test_half_power_index_validation():
     frf = pd.frf_of(pd.plant_system(_sdof(50.0)), np.linspace(40.0, 60.0, 201))
     with pytest.raises(InvalidInputError, match="interior"):

@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -24,13 +25,18 @@ def test_cantilever_roots_match_known_values():
 
 
 def test_cantilever_roots_match_brentq():
-    def residual(x):
-        return np.cos(x) + 1.0 / np.cosh(x)
+    # brentq finds each root in its bracket ((i - 1) pi, i pi); mpmath
+    # polishes it to 30 digits, and the double must be within one ulp.
+    def residual(x):  # cos(x) + sech(x), with no overflow past x = 710
+        return np.cos(x) + 2.0 * np.exp(-x) / (1.0 + np.exp(-2.0 * x))
 
-    for i in range(1, 61):
-        ref = brentq(residual, max((i - 1) * np.pi, 1e-6), i * np.pi,
-                     xtol=1e-15, rtol=8.9e-16)
-        assert pd.cantilever_root(i) == pytest.approx(ref, rel=1e-14, abs=0)
+    for i in range(1, 401):
+        x0 = brentq(residual, max((i - 1) * np.pi, 1e-6), i * np.pi,
+                    xtol=1e-15, rtol=8.9e-16)
+        with mpmath.workdps(30):
+            ref = mpmath.findroot(lambda x: mpmath.cos(x) + mpmath.sech(x), x0)
+            root = pd.cantilever_root(i)
+            assert abs(mpmath.mpf(root) - ref) <= np.spacing(root), i
 
 
 def test_root_index_is_one_based():
@@ -94,6 +100,13 @@ def test_analytic_high_mode_shape_is_finite(unit_beam):
     assert np.all(np.isfinite(m.phi))
     tip = 2.0 / np.sqrt(unit_beam.mass_per_length * unit_beam.length)
     assert abs(m.phi[-1]) == pytest.approx(tip, rel=1e-6)
+    # Past mode 226 sinh(bl) and cosh(bl) overflow; the shapes written in
+    # exp(-bl) do not, and stay mass normalized.
+    model = pd.analytic_cantilever_modes(unit_beam, 240, 4001)
+    for m in model.modes:
+        assert np.all(np.isfinite(m.phi)) and np.all(np.isfinite(m.theta))
+        mu = simpson(m.phi * m.phi, x=model.grid) * unit_beam.mass_per_length
+        assert mu == pytest.approx(1.0, rel=1e-6)
 
 
 def test_analytic_validation(unit_beam):
@@ -212,6 +225,21 @@ def test_flexibility_product_matches_dense_pattern(n_el, width, seed):
     Y = np.random.default_rng(seed).standard_normal((2 * n_el, width))
     ref = _oracle_pattern(n_el) @ Y
     err = np.max(np.abs(pd.modal._flexibility_times(Y) - ref))
+    assert err <= 1e-13 * np.max(np.abs(ref))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_el=st.integers(4, 800), width=st.integers(1, 64),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n_el=4, width=1, seed=0)
+@example(n_el=800, width=64, seed=0)
+def test_mass_product_matches_dense_mass(n_el, width, seed):
+    # Unit elements at rhoA = 420: the integer mass the eigensolve runs on.
+    _, me = pd.modal.beam_element_matrices(1.0, 420.0, 1.0)
+    _, M = pd.assemble_beam_matrices(pd.BeamProperties(n_el, 1.0, 420.0), n_el)
+    X = np.random.default_rng(seed).standard_normal((2 * n_el, width))
+    ref = M[2:, 2:] @ X
+    err = np.max(np.abs(pd.modal._clamped_mass_times(me, X) - ref))
     assert err <= 1e-13 * np.max(np.abs(ref))
 
 
