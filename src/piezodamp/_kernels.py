@@ -9,16 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-# Chunk bound keeps the batched solve below ~100 MB of scratch space.
-_SOLVE_CHUNK = 8192
 _EPS = np.finfo(np.float64).eps
 
 
 def frf_solve(A, b, c, d, omegas):
     """Evaluate c (jw I - A)^-1 b + d at each angular frequency.
 
-    Returns (values, flagged); singular points come back as inf with the
-    flag set instead of raising, so a sweep can skip them. A point is
+    Singular points come back as inf instead of raising. A point is
     singular when LU meets a zero pivot, or when the growth of the solution
     x, |jw I - A|_1 |x|_1 / |b|_1, exceeds 1 / eps: it bounds the condition
     number from below, so jw I - A is then singular to working precision.
@@ -28,7 +25,6 @@ def frf_solve(A, b, c, d, omegas):
     n = A.shape[0]
     nf = omegas.shape[0]
     out = np.empty(nf, dtype=np.complex128)
-    flagged = np.zeros(nf, dtype=np.bool_)
     eye = np.eye(n)
     bc = np.asarray(b, dtype=np.complex128)
     cc = np.asarray(c, dtype=np.complex128)
@@ -37,8 +33,11 @@ def frf_solve(A, b, c, d, omegas):
     # |jw - a_jj|; a system without states has none, and norm 0.
     diag = np.diag(A)
     off_diag = np.abs(A).sum(axis=0) - np.abs(diag)
-    for lo in range(0, nf, _SOLVE_CHUNK):
-        w = omegas[lo:lo + _SOLVE_CHUNK]
+    # Points per batch: the scratch grows with n^2 per point, so a chunk of
+    # 2^21 complex matrix entries keeps it near 100 MB at any model size.
+    chunk = max(1, 2**21 // max(n * n, 1))
+    for lo in range(0, nf, chunk):
+        w = omegas[lo:lo + chunk]
         M = 1j * w[:, None, None] * eye - A
         rhs = np.empty((w.size, n, 1), dtype=np.complex128)
         rhs[:] = bc[:, None]
@@ -54,7 +53,7 @@ def frf_solve(A, b, c, d, omegas):
                 except np.linalg.LinAlgError:
                     X[k] = np.inf
         # Singular samples were filled with inf above; the matmul then emits
-        # nan, which the flag pass below replaces. Silence that transient.
+        # nan, which the pass below replaces. Silence that transient.
         with np.errstate(invalid="ignore"):
             vals = X[:, :, 0] @ cc + d
         norm_m = (off_diag + np.hypot(w[:, None], diag)).max(axis=1,
@@ -63,8 +62,7 @@ def frf_solve(A, b, c, d, omegas):
         bad = ~np.isfinite(vals) | (growth * _EPS > np.abs(bc).sum())
         vals[bad] = np.inf
         out[lo:lo + w.size] = vals
-        flagged[lo:lo + w.size] = bad
-    return out, flagged
+    return out
 
 
 def delta_theta_scan(x, theta, starts, patch_length):

@@ -2,9 +2,9 @@
 
 Subcommands: modes, coupling, place, ppf-design, sweep, analyze. All take a
 project INI file via --config (analyze can run from an FRF file alone) and
-write CSV results into --out-dir. Exit codes: 0 success, 1 validation or
-data error, 2 numerical failure, 3 file system error. Floats in CSV files
-and reports carry 9 significant digits.
+write CSV results into --out-dir. Exit codes: 0 success, 1 usage,
+validation or data error, 2 numerical failure, 3 file system error. Floats
+in CSV files and reports carry 9 significant digits.
 """
 
 from __future__ import annotations
@@ -223,6 +223,7 @@ def cmd_analyze(args) -> int:
     """Peak table (frequency, Q, damping) of a measured or simulated FRF CSV."""
     out = _out_dir(args)
     frf = load_frf_csv(args.frf)
+    cfg = load_config(args.config) if args.config else None
     if args.band:
         try:
             lo, hi = (float(t) for t in args.band.split(","))
@@ -231,12 +232,14 @@ def cmd_analyze(args) -> int:
         if not np.isfinite([lo, hi]).all():
             raise InvalidInputError("--band must look like 'lo,hi' in Hz")
         band = (lo, hi)
-    elif args.config:
-        band = load_config(args.config).band_hz
+    elif cfg is not None:
+        band = cfg.band_hz
     else:
         raise InvalidInputError("analyze needs --band or a --config with an "
                                 "[analysis] band_hz")
     prom = args.min_prominence_db
+    if prom is None:
+        prom = 3.0 if cfg is None else cfg.min_prominence_db
     peaks = find_peaks(frf, band, prom)
     if not peaks:
         raise InvalidInputError(
@@ -294,8 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="peak table of an FRF CSV file")
     an.add_argument("--frf", required=True, help="FRF CSV file to analyze")
     an.add_argument("--band", default=None, help="frequency band 'lo,hi' in Hz")
-    an.add_argument("--min-prominence-db", type=float, default=3.0,
-                    help="peak prominence threshold in dB (default 3)")
+    an.add_argument("--min-prominence-db", type=float, default=None,
+                    help="peak prominence threshold in dB (default: "
+                         "[analysis] min_prominence_db with --config, "
+                         "else 3)")
     an.set_defaults(func=cmd_analyze)
     return parser
 
@@ -308,7 +313,10 @@ class _LevelPrefix(logging.Formatter):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed usage or help
+        return 0 if exc.code == 0 else 1
     # Bound to this call's stderr, so a caller that swaps sys.stderr between
     # calls gets the messages of each call.
     handler = logging.StreamHandler(sys.stderr)

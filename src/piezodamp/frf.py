@@ -4,7 +4,7 @@ and PPF gain sweeps."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,40 +21,34 @@ log = logging.getLogger(__name__)
 class FRF:
     """Complex response samples on a strictly increasing frequency grid (Hz).
 
-    ``flagged`` marks samples where the underlying solve was singular; those
-    hold inf and are excluded from every estimate.
+    A sample where the underlying solve was singular holds inf; such samples
+    are ``flagged`` and excluded from every estimate.
     """
 
     freqs_hz: np.ndarray
     values: np.ndarray
-    flagged: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         self.freqs_hz = f = _grid(self.freqs_hz)
         self.values = np.asarray(self.values, dtype=complex)
         if self.values.shape != f.shape:
             raise InvalidInputError("values and frequencies must have equal length")
-        if self.flagged is None:
-            self.flagged = np.zeros(f.size, dtype=bool)
-        else:
-            self.flagged = np.asarray(self.flagged, dtype=bool)
-            if self.flagged.shape != f.shape:
-                raise InvalidInputError("flag array must match the grid length")
-        ok = np.isfinite(self.values.real) & np.isfinite(self.values.imag)
-        if np.any(~ok & ~self.flagged):
-            raise InvalidInputError("non-finite response at an unflagged sample")
+
+    @property
+    def flagged(self) -> np.ndarray:
+        """True at the samples that hold no finite response."""
+        return ~np.isfinite(self.values)
 
 
 def frf_of(sys: LinearSystem, freqs_hz) -> FRF:
     """Frequency response C (jw I - A)^-1 B + D, one linear solve per point.
 
-    A singular point (an exactly undamped resonance hit head-on) is flagged
-    and the evaluation continues.
+    A singular point (an exactly undamped resonance hit head-on) comes back
+    as inf and the evaluation continues.
     """
     f = _grid(freqs_hz)
-    vals, flagged = _kernels.frf_solve(sys.A, sys.B[:, 0], sys.C[0],
-                                       sys.D[0, 0], TWO_PI * f)
-    return FRF(f, vals, flagged)
+    return FRF(f, _kernels.frf_solve(sys.A, sys.B[:, 0], sys.C[0],
+                                     sys.D[0, 0], TWO_PI * f))
 
 
 def closed_loop_frf(plant: ModalPlant, cfg: PPFConfig, freqs_hz) -> FRF:
@@ -67,8 +61,8 @@ def closed_loop_frf(plant: ModalPlant, cfg: PPFConfig, freqs_hz) -> FRF:
     ppf_controller(cfg)), freqs_hz)`` computes, in a few vectorized
     operations instead of one linear solve per point. A grid point that
     hits an undamped mode (zeta_i = 0) exactly takes the limit -1 / K of
-    G -> inf; it is flagged when g = 0 or when b_i = 0, where the loop has
-    a pole on that point.
+    G -> inf; it is inf when g = 0 or when b_i = 0, where the loop has a
+    pole on that point. Every non-finite sample is stored as inf + 0j.
     """
     f = _grid(freqs_hz)
     w = TWO_PI * f
@@ -90,10 +84,8 @@ def closed_loop_frf(plant: ModalPlant, cfg: PPFConfig, freqs_hz) -> FRF:
         K = cfg.gain * wf * wf / ((wf * wf - w2) + 2j * cfg.zeta_f * wf * w)
         H = G / (1.0 - G * K)
         H[on_pole] = -1.0 / K[on_pole]
-    H[fixed_pole] = np.inf
-    flagged = ~(np.isfinite(H.real) & np.isfinite(H.imag))
-    H[flagged] = np.inf
-    return FRF(f, H, flagged)
+    H[fixed_pole | ~np.isfinite(H)] = np.inf
+    return FRF(f, H)
 
 
 def _grid(freqs_hz) -> np.ndarray:
@@ -271,7 +263,7 @@ def half_power_damping(frf: FRF, peak_index: int) -> DampingEstimate:
     i = int(peak_index)
     if not 0 < i < mag.size - 1:
         raise InvalidInputError("peak index must be interior to the record")
-    if frf.flagged[i]:
+    if not np.isfinite(frf.values[i]):
         raise InvalidInputError(f"sample {i} is flagged as singular")
     # On find_peaks' scale and with >= on both sides, so the middle sample
     # it reports of a flat top passes, also when magnitudes parsed from a
@@ -311,8 +303,8 @@ class SweepRow:
     unstable loops; the estimate is None for unstable loops and for stable
     loops whose response has no peak a half-power estimate can be read from.
 
-    A stable row keeps its whole closed-loop ``FRF`` (values and flags on the
-    sweep grid) for as long as the row lives, so a sweep's rows hold about
+    A stable row keeps its whole closed-loop ``FRF`` (its values on the sweep
+    grid) for as long as the row lives, so a sweep's rows hold about
     gains x grid points complex values.
     """
 
@@ -382,9 +374,7 @@ def bode_table(frf: FRF):
     with np.errstate(divide="ignore"):
         mag_db = 20.0 * np.log10(mag)
     phase = np.degrees(np.unwrap(np.angle(frf.values)))
-    if np.any(frf.flagged):
-        mag_db = mag_db.copy()
-        phase = phase.copy()
-        mag_db[frf.flagged] = np.nan
-        phase[frf.flagged] = np.nan
+    flagged = frf.flagged
+    mag_db[flagged] = np.nan
+    phase[flagged] = np.nan
     return mag_db, phase

@@ -445,6 +445,34 @@ def test_cli_analyze_takes_band_from_config(gripper_ini, gripper_frf_csv,
             == (tmp_path / "band" / "analyze.csv").read_bytes())
 
 
+def test_cli_analyze_takes_prominence_from_config(gripper_ini,
+                                                  gripper_frf_csv, tmp_path,
+                                                  capsys):
+    for name in ("gripper.ini", "gripper_shapes.csv"):
+        shutil.copy(gripper_ini.parent / name, tmp_path / name)
+    ini = tmp_path / "gripper.ini"
+    ini.write_text(ini.read_text().replace(
+        "[analysis]\n", "[analysis]\nmin_prominence_db = 60\n"))
+    argv = ["analyze", "--frf", str(gripper_frf_csv), "--config", str(ini),
+            "--out-dir", str(tmp_path / "out"), "--quiet"]
+    # The INI threshold holds alongside --band too; the flag overrides it.
+    for extra in ([], ["--band", "50,90"]):
+        assert _run(argv + extra) == 1
+        assert ("no peaks with prominence >= 60 dB"
+                in capsys.readouterr().err)
+    assert _run(argv + ["--min-prominence-db", "3"]) == 0
+
+
+def test_cli_usage_errors_exit_1_and_help_exits_0(tmp_path, capsys):
+    for argv in (["analyze"], ["bogus"],
+                 ["analyze", "--frf", str(tmp_path / "r.csv"),
+                  "--min-prominence-db", "abc"]):
+        assert _run(argv) == 1, argv
+        assert "usage: piezodamp" in capsys.readouterr().err
+    assert _run(["--help"]) == 0
+    assert "usage: piezodamp" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("sub, old, message", [
     ("place", "step_m = 0.1\n",
      "[analysis] step_m is required for the place command"),
