@@ -34,7 +34,8 @@ def frf_solve(A, b, c, d, omegas):
     diag = np.diag(A)
     off_diag = np.abs(A).sum(axis=0) - np.abs(diag)
     # Points per batch: the scratch grows with n^2 per point, so a chunk of
-    # 2^21 complex matrix entries keeps it near 100 MB at any model size.
+    # 2^21 complex matrix entries keeps it near 100 MB at any model size
+    # (for frf_of and perfbench's solve probes; the CLI never calls this).
     chunk = max(1, 2**21 // max(n * n, 1))
     for lo in range(0, nf, chunk):
         w = omegas[lo:lo + chunk]

@@ -21,8 +21,9 @@ log = logging.getLogger(__name__)
 class FRF:
     """Complex response samples on a strictly increasing frequency grid (Hz).
 
-    A sample where the underlying solve was singular holds inf; such samples
-    are ``flagged`` and excluded from every estimate.
+    A non-finite sample, stored as inf + 0j (the value ``bode_table``'s
+    unwrap and the half-power walk rely on), marks a singular solve; it is
+    ``flagged`` and excluded from every estimate.
     """
 
     freqs_hz: np.ndarray
@@ -30,9 +31,11 @@ class FRF:
 
     def __post_init__(self):
         self.freqs_hz = f = _grid(self.freqs_hz)
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != f.shape:
+        v = np.asarray(self.values, dtype=complex)
+        if v.shape != f.shape:
             raise InvalidInputError("values and frequencies must have equal length")
+        bad = ~np.isfinite(v)
+        self.values = np.where(bad, np.inf, v) if bad.any() else v
 
     @property
     def flagged(self) -> np.ndarray:
@@ -62,7 +65,7 @@ def closed_loop_frf(plant: ModalPlant, cfg: PPFConfig, freqs_hz) -> FRF:
     operations instead of one linear solve per point. A grid point that
     hits an undamped mode (zeta_i = 0) exactly takes the limit -1 / K of
     G -> inf; it is inf when g = 0 or when b_i = 0, where the loop has a
-    pole on that point. Every non-finite sample is stored as inf + 0j.
+    pole on that point.
     """
     f = _grid(freqs_hz)
     w = TWO_PI * f
@@ -84,7 +87,7 @@ def closed_loop_frf(plant: ModalPlant, cfg: PPFConfig, freqs_hz) -> FRF:
         K = cfg.gain * wf * wf / ((wf * wf - w2) + 2j * cfg.zeta_f * wf * w)
         H = G / (1.0 - G * K)
         H[on_pole] = -1.0 / K[on_pole]
-    H[fixed_pole | ~np.isfinite(H)] = np.inf
+    H[fixed_pole] = np.inf
     return FRF(f, H)
 
 
@@ -375,6 +378,5 @@ def bode_table(frf: FRF):
         mag_db = 20.0 * np.log10(mag)
     phase = np.degrees(np.unwrap(np.angle(frf.values)))
     flagged = frf.flagged
-    mag_db[flagged] = np.nan
-    phase[flagged] = np.nan
+    mag_db[flagged] = phase[flagged] = np.nan
     return mag_db, phase

@@ -457,3 +457,15 @@ def test_bode_table_puts_nan_at_flagged_samples():
     for column in (mag_db, phase):
         assert np.isnan(column[4])
         assert np.all(np.isfinite(np.delete(column, 4)))
+
+
+def test_frf_stores_every_non_finite_sample_as_inf():
+    values = np.array([1 + 1j, np.nan, complex(np.inf, np.nan), 1j, 1.0])
+    frf = pd.FRF(np.arange(1.0, 6.0), values)
+    assert np.isnan(values[1])  # the caller's array is left as given
+    assert frf.values[1] == frf.values[2] == complex(np.inf, 0.0)
+    assert frf.flagged.tolist() == [False, True, True, False, False]
+    # A nan would carry through the phase unwrap into every later sample.
+    mag_db, phase = pd.bode_table(frf)
+    assert np.isnan(phase[[1, 2]]).all()
+    assert np.allclose(phase[[0, 3, 4]], [45.0, 90.0, 0.0])
