@@ -38,4 +38,4 @@ class NumericalError(PiezodampError):
 
 
 class BandwidthError(PiezodampError):
-    """A half-power crossing lies outside the frequency record."""
+    """A half-power crossing is off the record or not resolved by the grid."""

@@ -22,7 +22,7 @@ class FRF:
     """Complex response samples on a strictly increasing frequency grid (Hz).
 
     A non-finite sample, stored as inf + 0j (the value ``bode_table``'s
-    unwrap and the half-power walk rely on), marks a singular solve; it is
+    unwrap and the half-power lookup rely on), marks a singular solve; it is
     ``flagged`` and excluded from every estimate.
     """
 
@@ -72,22 +72,18 @@ def closed_loop_frf(plant: ModalPlant, cfg: PPFConfig, freqs_hz) -> FRF:
     w2 = w * w
     G = np.zeros(f.size, dtype=complex)
     on_pole = np.zeros(f.size, dtype=bool)  # G -> inf
-    fixed_pole = np.zeros(f.size, dtype=bool)  # a pole no gain moves
     with np.errstate(divide="ignore", invalid="ignore"):
         for wi, zi, bi in zip(plant.omegas.tolist(), plant.zetas.tolist(),
                               plant.b.tolist()):
             den = (wi * wi - w2) + 2j * zi * wi * w
             G += bi * bi / den
-            if zi == 0.0:
-                hit = den == 0.0
-                on_pole |= hit
-                if bi == 0.0:
-                    fixed_pole |= hit
+            # A hit with b_i = 0 makes G 0/0 = nan, which FRF stores as inf.
+            if zi == 0.0 and bi != 0.0:
+                on_pole |= den == 0.0
         wf = cfg.omega_f
         K = cfg.gain * wf * wf / ((wf * wf - w2) + 2j * cfg.zeta_f * wf * w)
         H = G / (1.0 - G * K)
         H[on_pole] = -1.0 / K[on_pole]
-    H[fixed_pole] = np.inf
     return FRF(f, H)
 
 
@@ -258,8 +254,10 @@ class DampingEstimate:
 def half_power_damping(frf: FRF, peak_index: int) -> DampingEstimate:
     """Half-power (-3 dB) bandwidth metrics around one interior peak.
 
-    Crossings of |H_peak|/sqrt(2) are located by linear interpolation of the
-    magnitude between the bracketing samples on each side.
+    One lookup finds the nearest sample below |H_peak|/sqrt(2) on each side
+    of the peak; one exactly at that level, or inf, counts as above it. Each
+    crossing is interpolated linearly towards the peak. A side with no other
+    sample above the level is not resolved and raises ``BandwidthError``.
     """
     mag = np.abs(frf.values)
     f = frf.freqs_hz
@@ -276,19 +274,19 @@ def half_power_damping(frf: FRF, peak_index: int) -> DampingEstimate:
         raise InvalidInputError(f"sample {i} is not a local maximum")
     peak = float(mag[i])
     thr = peak / np.sqrt(2.0)
-    a = i
-    while a > 0 and mag[a] >= thr:
-        a -= 1
-    if mag[a] >= thr:
+    below = np.flatnonzero(mag < thr)
+    k = int(np.searchsorted(below, i))
+    if k == 0:
         raise BandwidthError(
             "low-frequency half-power crossing lies outside the record")
-    f_lo = f[a] + (thr - mag[a]) * (f[a + 1] - f[a]) / (mag[a + 1] - mag[a])
-    b = i
-    while b < mag.size - 1 and mag[b] >= thr:
-        b += 1
-    if mag[b] >= thr:
+    if k == below.size:
         raise BandwidthError(
             "high-frequency half-power crossing lies outside the record")
+    a, b = below[k - 1], below[k]
+    if a == i - 1 or b == i + 1:
+        raise BandwidthError(
+            f"peak at {f[i]:g} Hz not resolved; refine the frequency grid")
+    f_lo = f[a] + (thr - mag[a]) * (f[a + 1] - f[a]) / (mag[a + 1] - mag[a])
     f_hi = f[b - 1] + (thr - mag[b - 1]) * (f[b] - f[b - 1]) / (mag[b] - mag[b - 1])
     return DampingEstimate(float(f[i]), peak, float(f_lo), float(f_hi))
 
@@ -328,10 +326,8 @@ def gain_sweep(plant: ModalPlant, cfg: PPFConfig, gains, freqs_hz=None,
     its dominant in-band peak, or None with a logged warning when no peak
     yields one; unstable rows are flagged and skipped. The grid defaults to
     2001 points over [0.8, 1.2] times the frequency of the plant mode
-    closest to the filter.
-    The gain of ``cfg`` is ignored in favour of the swept values. Every
-    stable row's response is kept on ``SweepRow.response``, so memory grows
-    with the number of gains times the grid length.
+    closest to the filter. The gain of ``cfg`` is ignored in favour of the
+    swept values; ``SweepRow`` says what each row keeps in memory.
     """
     gain_list = [float(g) for g in gains]
     if not gain_list:

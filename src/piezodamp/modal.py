@@ -471,6 +471,9 @@ def load_measured_modes(path, frequencies_hz, damping=None,
     freqs = [float(f) for f in np.atleast_1d(frequencies_hz)]
     if any(f <= 0.0 for f in freqs):
         raise InvalidInputError("measured frequencies must be positive")
+    for k, f in enumerate(freqs):
+        if f in freqs[:k]:
+            raise InvalidInputError(f"measured frequency {f:g} Hz is listed twice")
     if damping is None:
         zetas = [DEFAULT_DAMPING] * len(freqs)
     else:

@@ -364,6 +364,25 @@ def test_cli_sweep_writes_all_three_kinds_of_row(gripper_ini, tmp_path,
     assert len(warnings) == 1 and "gain 42381.2" in warnings[0]
 
 
+def test_cli_sweep_leaves_an_unresolved_peak_without_estimate(
+        gripper_ini, tmp_path, capsys):
+    # Three points over 65-90 Hz put no sample above the half-power level
+    # beside the 77.5 Hz peak; the estimate read from them would be 5.6-6.2 %.
+    for name in ("gripper.ini", "gripper_shapes.csv"):
+        shutil.copy(gripper_ini.parent / name, tmp_path / name)
+    ini = tmp_path / "gripper.ini"
+    ini.write_text(ini.read_text().replace("n_freq = 2001", "n_freq = 3"))
+    out = tmp_path / "out"
+    assert _run(["sweep", "--config", str(ini), "--out-dir", str(out),
+                 "--quiet"]) == 0
+    assert (out / "sweep.csv").read_text().splitlines() == [
+        "gain,stable,f_peak_hz,Q,zeta,damping_pct", "1500,1,,,,",
+        "3000,1,,,,", "4500,1,,,,", "6000,1,,,,"]
+    warnings = capsys.readouterr().err.splitlines()
+    assert len(warnings) == 4
+    assert all("peak at 77.5 Hz not resolved" in w for w in warnings)
+
+
 def test_cli_sweep_warning_reaches_stderr_with_prefix(gripper_ini, tmp_path,
                                                      capsys):
     ini = tmp_path / "gripper.ini"
@@ -461,6 +480,31 @@ def test_cli_analyze_takes_prominence_from_config(gripper_ini,
         assert ("no peaks with prominence >= 60 dB"
                 in capsys.readouterr().err)
     assert _run(argv + ["--min-prominence-db", "3"]) == 0
+
+
+def test_cli_names_a_repeated_measured_frequency(gripper_ini, tmp_path,
+                                                capsys):
+    for name in ("gripper.ini", "gripper_shapes.csv"):
+        shutil.copy(gripper_ini.parent / name, tmp_path / name)
+    ini = tmp_path / "gripper.ini"
+    ini.write_text(ini.read_text().replace("frequencies_hz = 58.0, 76.0",
+                                           "frequencies_hz = 76.0, 76.0"))
+    assert _run(["modes", "--config", str(ini), "--out-dir",
+                 str(tmp_path / "out"), "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        "error: [structure]: measured frequency 76 Hz is listed twice\n")
+
+
+def test_python_m_piezodamp_exits_like_the_cli():
+    src = Path(pd.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    for argv, code in ((["--help"], 0), (["bogus"], 1)):
+        out = subprocess.run([sys.executable, "-m", "piezodamp", *argv],
+                             env=env, capture_output=True, text=True)
+        assert out.returncode == code, (argv, out.stderr)
+        assert "usage: piezodamp" in out.stdout + out.stderr
 
 
 def test_cli_usage_errors_exit_1_and_help_exits_0(tmp_path, capsys):

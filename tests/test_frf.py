@@ -1,8 +1,9 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import find_peaks as scipy_find_peaks
 
@@ -171,8 +172,8 @@ def test_find_peaks_prominence_filter():
 
 # Records for the peak oracle: few distinct integers (ties and plateaus,
 # including flat tops at either end), integer random walks (nested hills),
-# noisy floats, inf and nan as a flagged sample may hold, and the lengths
-# 0-3 that hold no interior maximum.
+# noisy floats, inf as a flagged sample holds and nan, and the lengths 0-3
+# that hold no interior maximum.
 _RECORDS = st.one_of(
     st.lists(st.integers(-3, 3), max_size=40),
     st.lists(st.integers(-2, 2), max_size=60).map(np.cumsum),
@@ -255,6 +256,90 @@ def test_half_power_missing_crossing_sides():
     peak = int(np.argmax(mag))
     with pytest.raises(BandwidthError, match="low-frequency"):
         pd.half_power_damping(frf, peak)
+
+
+def test_half_power_refuses_a_peak_the_grid_does_not_resolve():
+    # 9 points over [0.8, 1.2] f0 space 5 half-power bandwidths apart: both
+    # neighbours of the peak lie below the level.
+    f0 = 75.0
+    frf = pd.frf_of(pd.plant_system(_sdof(f0, 0.01)),
+                    np.linspace(0.8 * f0, 1.2 * f0, 9))
+    assert pd.find_peaks(frf, (60.0, 90.0)) == [4]
+    with pytest.raises(BandwidthError, match="peak at 75 Hz not resolved; "
+                                             "refine the frequency grid"):
+        pd.half_power_damping(frf, 4)
+
+
+def _walked_half_power(mag, f, i):
+    """Reference crossings, found by walking sample by sample away from the
+    peak, plus the resolution rule: (f_lo, f_hi), or the start of the
+    BandwidthError message."""
+    thr = mag[i] / np.sqrt(2.0)
+    a = i
+    while a > 0 and mag[a] >= thr:
+        a -= 1
+    if mag[a] >= thr:
+        return "low-frequency"
+    f_lo = f[a] + (thr - mag[a]) * (f[a + 1] - f[a]) / (mag[a + 1] - mag[a])
+    b = i
+    while b < mag.size - 1 and mag[b] >= thr:
+        b += 1
+    if mag[b] >= thr:
+        return "high-frequency"
+    f_hi = f[b - 1] + (thr - mag[b - 1]) * (f[b] - f[b - 1]) / (mag[b] - mag[b - 1])
+    if a == i - 1 or b == i + 1:
+        return f"peak at {f[i]:g} Hz not resolved"
+    return f_lo, f_hi
+
+
+_LEVEL = 2.0 / np.sqrt(2.0)  # the half-power level of a peak of height 2
+
+
+@st.composite
+def _half_power_records(draw):
+    """A peak of height 2 and samples around it drawn from levels just below,
+    exactly at and just above its half-power level, below the peak, at it,
+    above it and inf (nan, which the FRF stores as inf, stands for one too).
+    Short records put crossings at either end."""
+    near = [np.nextafter(_LEVEL, 0.0), _LEVEL, np.nextafter(_LEVEL, 3.0), 1.9,
+            2.0]
+    n = draw(st.integers(3, 16))
+    i = draw(st.integers(1, n - 2))
+    mag = draw(st.lists(st.sampled_from(near + [0.5, 0.5, 3.0, np.inf,
+                                                np.nan]),
+                        min_size=n, max_size=n))
+    mag[i] = 2.0
+    mag[i - 1], mag[i + 1] = draw(st.sampled_from(near)), draw(
+        st.sampled_from(near))
+    steps = draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n))
+    return np.cumsum(steps), np.asarray(mag, dtype=complex), i
+
+
+@settings(max_examples=500, deadline=None)
+@given(_half_power_records())
+# Samples at the level and an inf one inside the band, and both crossings at
+# the record ends: (f_lo, f_hi) = (2, 7).
+@example((np.arange(1.0, 9.0), np.array(
+    [0.5, _LEVEL, 1.9, 2.0, 1.9, np.inf, _LEVEL, 0.5],
+    dtype=complex), 3))
+def test_half_power_lookup_matches_the_walk(record):
+    freqs, values, i = record
+    frf = pd.FRF(freqs, values)
+    # An inf sample next to a crossing interpolates to nan on both paths.
+    with np.errstate(invalid="ignore"):
+        expected = _walked_half_power(np.abs(frf.values), frf.freqs_hz, i)
+        if isinstance(expected, str):
+            with pytest.raises(BandwidthError, match=f"^{expected}"):
+                pd.half_power_damping(frf, i)
+            return
+        try:
+            pd.DampingEstimate(float(freqs[i]), 2.0, *map(float, expected))
+        except InvalidInputError as exc:  # nan, or a band too wide
+            with pytest.raises(InvalidInputError, match=re.escape(str(exc))):
+                pd.half_power_damping(frf, i)
+            return
+        est = pd.half_power_damping(frf, i)
+    assert (est.f_lo, est.f_hi) == expected
 
 
 @pytest.mark.parametrize("width", [2, 3])

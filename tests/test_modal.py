@@ -463,6 +463,17 @@ def test_load_measured_argument_errors(tmp_path):
         pd.load_measured_modes(f, [-3.0])
 
 
+def test_load_measured_names_a_repeated_frequency(tmp_path):
+    # The loader sorts the frequencies itself, so a repeat is named as such
+    # rather than reported as an unsorted model.
+    f = tmp_path / "two.csv"
+    f.write_text("x_m,mode1,mode2\n" + "\n".join(
+        f"{v / 10},{v},{v * v}" for v in range(8)) + "\n")
+    with pytest.raises(InvalidInputError,
+                       match="^measured frequency 76 Hz is listed twice$"):
+        pd.load_measured_modes(f, [76.0, 76.0])
+
+
 def test_load_measured_skips_comments(tmp_path, gripper_shapes_csv):
     model = pd.load_measured_modes(gripper_shapes_csv, [58.0, 76.0])
     assert model.n_modes == 2
