@@ -46,14 +46,14 @@ def _write_csv(path: Path, header: list[str], rows,
 
 
 def write_state_space_csv(sys_: LinearSystem, path: Path) -> None:
-    """Write A, B, C, D as labelled blocks: 'name,rows,cols' then the rows."""
+    """Write A, B, C and the zero D as blocks: 'name,rows,cols', then rows."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# state-space blocks: 'name,rows,cols' header then row values\n")
-        for name, mat in (("A", sys_.A), ("B", sys_.B), ("C", sys_.C),
-                          ("D", sys_.D)):
+        for name, mat in (("A", sys_.A), ("B", sys_.B), ("C", sys_.C)):
             fh.write(f"{name},{mat.shape[0]},{mat.shape[1]}\n")
             for row in mat:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write("D,1,1\n0\n")
 
 
 def _require_config(args) -> ProjectConfig:
@@ -171,9 +171,8 @@ def cmd_ppf_design(args) -> int:
                [(i + 1, plant.omegas[i] / TWO_PI,
                  plant.zetas[i], plant.b[i]) for i in range(plant.n_modes)])
     write_state_space_csv(plant_system(plant), out / "plant_ss.csv")
-    write_state_space_csv(ppf_controller(PPFConfig(filt.omega_f, filt.zeta_f,
-                                                   1.0)),
-                          out / "controller_ss.csv")
+    unit_gain = PPFConfig(filt.omega_f, filt.zeta_f, 1.0)
+    write_state_space_csv(ppf_controller(unit_gain), out / "controller_ss.csv")
     _say(args, f"filter at {_fmt(cfg.ppf_freq_hz)} Hz, zeta "
                f"{_fmt(cfg.ppf_zeta)}")
     _say(args, f"critical gain {_fmt(gcrit)}")

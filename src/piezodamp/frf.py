@@ -44,14 +44,14 @@ class FRF:
 
 
 def frf_of(sys: LinearSystem, freqs_hz) -> FRF:
-    """Frequency response C (jw I - A)^-1 B + D, one linear solve per point.
+    """Frequency response C (jw I - A)^-1 B, one linear solve per point.
 
     A singular point (an exactly undamped resonance hit head-on) comes back
     as inf and the evaluation continues.
     """
     f = _grid(freqs_hz)
-    return FRF(f, _kernels.frf_solve(sys.A, sys.B[:, 0], sys.C[0],
-                                     sys.D[0, 0], TWO_PI * f))
+    return FRF(f, _kernels.frf_solve(sys.A, sys.B[:, 0], sys.C[0], 0.0,
+                                     TWO_PI * f))
 
 
 def closed_loop_frf(plant: ModalPlant, cfg: PPFConfig, freqs_hz) -> FRF:
@@ -256,8 +256,9 @@ def half_power_damping(frf: FRF, peak_index: int) -> DampingEstimate:
 
     One lookup finds the nearest sample below |H_peak|/sqrt(2) on each side
     of the peak; one exactly at that level, or inf, counts as above it. Each
-    crossing is interpolated linearly towards the peak. A side with no other
-    sample above the level is not resolved and raises ``BandwidthError``.
+    crossing is interpolated linearly towards the peak from a sample that must
+    not be flagged. A side with no other sample above the level is not
+    resolved and raises ``BandwidthError``.
     """
     mag = np.abs(frf.values)
     f = frf.freqs_hz
@@ -286,6 +287,11 @@ def half_power_damping(frf: FRF, peak_index: int) -> DampingEstimate:
     if a == i - 1 or b == i + 1:
         raise BandwidthError(
             f"peak at {f[i]:g} Hz not resolved; refine the frequency grid")
+    for s in (a + 1, b - 1):  # the samples each crossing interpolates from
+        if np.isinf(mag[s]):
+            raise InvalidInputError(
+                f"the sample at {f[s]:g} Hz next to a half-power crossing is "
+                "flagged (singular); re-evaluate the response on a shifted grid")
     f_lo = f[a] + (thr - mag[a]) * (f[a + 1] - f[a]) / (mag[a + 1] - mag[a])
     f_hi = f[b - 1] + (thr - mag[b - 1]) * (f[b] - f[b - 1]) / (mag[b] - mag[b - 1])
     return DampingEstimate(float(f[i]), peak, float(f_lo), float(f_hi))

@@ -19,34 +19,27 @@ from .piezo import PatchGeometry, delta_thetas
 
 @dataclass
 class LinearSystem:
-    """Real single-input single-output state-space model (A, B, C, D).
-
-    B is n x 1, C is 1 x n and D is 1 x 1. The plant and the PPF filter are
-    strictly proper (D = 0); D is kept so exports carry all four blocks.
-    """
+    """Real strictly proper SISO state-space model (A, B, C) with n >= 1
+    states: B is n x 1, C is 1 x n. The plant and the PPF filter have no
+    feedthrough term, so neither does this type."""
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-    D: np.ndarray
 
     def __post_init__(self):
         self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
         self.B = np.atleast_2d(np.asarray(self.B, dtype=float))
         self.C = np.atleast_2d(np.asarray(self.C, dtype=float))
-        self.D = np.atleast_2d(np.asarray(self.D, dtype=float))
         n = self.A.shape[0]
-        if self.A.shape != (n, n):
-            raise InvalidInputError("A must be square")
+        if n == 0 or self.A.shape != (n, n):
+            raise InvalidInputError("A must be square with at least one state")
         if self.B.shape != (n, 1):
             raise InvalidInputError("B must be n x 1 (single-input)")
         if self.C.shape != (1, n):
             raise InvalidInputError("C must be 1 x n (single-output)")
-        if self.D.shape != (1, 1):
-            raise InvalidInputError("D must be 1 x 1")
-        for name, mat in (("A", self.A), ("B", self.B), ("C", self.C),
-                          ("D", self.D)):
-            if mat.size and not np.all(np.isfinite(mat)):
+        for name, mat in (("A", self.A), ("B", self.B), ("C", self.C)):
+            if not np.all(np.isfinite(mat)):
                 raise InvalidInputError(f"{name} contains non-finite entries")
 
     @property
@@ -125,7 +118,7 @@ def plant_system(plant: ModalPlant) -> LinearSystem:
         A[2 * i + 1, 2 * i + 1] = -2.0 * plant.zetas[i] * w
         B[2 * i + 1, 0] = plant.b[i]
         C[0, 2 * i] = plant.b[i]
-    return LinearSystem(A, B, C, np.zeros((1, 1)))
+    return LinearSystem(A, B, C)
 
 
 def build_plant(model: ModalModel, patch: PatchGeometry,
@@ -158,7 +151,7 @@ def ppf_controller(cfg: PPFConfig) -> LinearSystem:
     A = np.array([[0.0, 1.0], [-wf * wf, -2.0 * cfg.zeta_f * wf]])
     B = np.array([[0.0], [wf * wf]])
     C = np.array([[cfg.gain, 0.0]])
-    return LinearSystem(A, B, C, np.zeros((1, 1)))
+    return LinearSystem(A, B, C)
 
 
 def close_loop(plant_sys: LinearSystem, ctrl_sys: LinearSystem) -> LinearSystem:
@@ -168,15 +161,11 @@ def close_loop(plant_sys: LinearSystem, ctrl_sys: LinearSystem) -> LinearSystem:
     is the controller output Cc xc plus an external disturbance d. The
     result maps d to y.
     """
-    if plant_sys.D[0, 0] != 0.0 or ctrl_sys.D[0, 0] != 0.0:
-        raise InvalidInputError(
-            "close_loop needs strictly proper systems (D = 0)")
     Ap, Bp, Cp = plant_sys.A, plant_sys.B, plant_sys.C
     Ac, Bc, Cc = ctrl_sys.A, ctrl_sys.B, ctrl_sys.C
-    A = np.block([[Ap, Bp @ Cc], [Bc @ Cp, Ac]])
-    B = np.vstack([Bp, np.zeros((ctrl_sys.n_states, 1))])
-    C = np.hstack([Cp, np.zeros((1, ctrl_sys.n_states))])
-    return LinearSystem(A, B, C, np.zeros((1, 1)))
+    zero = np.zeros((ctrl_sys.n_states, 1))
+    return LinearSystem(np.block([[Ap, Bp @ Cc], [Bc @ Cp, Ac]]),
+                        np.vstack([Bp, zero]), np.hstack([Cp, zero.T]))
 
 
 def stability(sys: LinearSystem, tol_margin: float | None = None) -> bool:
@@ -185,16 +174,13 @@ def stability(sys: LinearSystem, tol_margin: float | None = None) -> bool:
     The default margin 1e-9 * max|A| keeps eigensolver roundoff on lightly
     damped poles from flipping the verdict; pass 0 for a raw comparison.
     """
-    A = sys.A
-    if A.shape[0] == 0:
-        return True
     try:
-        ev = np.linalg.eigvals(A)
+        ev = np.linalg.eigvals(sys.A)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue solve failed: {exc}") from exc
     max_re = float(np.max(ev.real))
     if tol_margin is None:
-        tol_margin = 1e-9 * float(np.max(np.abs(A)))
+        tol_margin = 1e-9 * float(np.max(np.abs(sys.A)))
     return max_re < -float(tol_margin)
 
 

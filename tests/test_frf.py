@@ -30,7 +30,7 @@ def test_frf_matches_modal_formula():
     assert not frf.flagged.any()
 
 
-def test_frf_of_matches_lapack_with_feedthrough():
+def test_frf_of_matches_lapack():
     rng = np.random.default_rng(7)
     A = rng.standard_normal((8, 8))
     # Shift the spectrum left so every pole is strictly stable.
@@ -38,19 +38,11 @@ def test_frf_of_matches_lapack_with_feedthrough():
     b = rng.standard_normal(8)
     c = rng.standard_normal(8)
     freqs = np.linspace(0.02, 4.0, 301)
-    frf = pd.frf_of(pd.LinearSystem(A, b[:, None], c[None, :], [[0.25]]),
-                    freqs)
+    frf = pd.frf_of(pd.LinearSystem(A, b[:, None], c[None, :]), freqs)
     assert not frf.flagged.any()
-    ref = [c @ np.linalg.solve(2j * np.pi * f * np.eye(8) - A, b) + 0.25
+    ref = [c @ np.linalg.solve(2j * np.pi * f * np.eye(8) - A, b)
            for f in freqs]
     np.testing.assert_allclose(frf.values, ref, rtol=1e-11, atol=1e-14)
-
-
-def test_frf_pure_gain_is_flat():
-    sys_ = pd.LinearSystem(np.zeros((0, 0)), np.zeros((0, 1)),
-                           np.zeros((1, 0)), [[2.0]])
-    frf = pd.frf_of(sys_, np.linspace(1.0, 10.0, 16))
-    np.testing.assert_array_equal(frf.values, np.full(16, 2.0 + 0.0j))
 
 
 def test_frf_flags_singular_sample_and_continues():
@@ -270,25 +262,46 @@ def test_half_power_refuses_a_peak_the_grid_does_not_resolve():
         pd.half_power_damping(frf, 4)
 
 
+@pytest.mark.parametrize("flag_hz", [pytest.param(99.0, id="low"),
+                                     pytest.param(100.95, id="high")])
+def test_half_power_refuses_a_flagged_sample_at_a_crossing(flag_hz):
+    # The 100 Hz mode with zeta = 0.01 crosses its half-power level near 99.0
+    # and 101.0 Hz; on this grid the crossings are interpolated from the
+    # samples at 99.00 and 100.95 Hz, the first ones above the level.
+    freqs = np.linspace(90.0, 110.0, 401)
+    values = pd.frf_of(pd.plant_system(_sdof(100.0, 0.01)), freqs).values
+    clean = pd.half_power_damping(pd.FRF(freqs, values), 200)
+    assert clean.zeta == pytest.approx(0.01, rel=1e-3)
+    k = int(np.argmin(np.abs(freqs - flag_hz)))
+    values[k] = np.inf
+    with pytest.raises(InvalidInputError,
+                       match=f"sample at {flag_hz:g} Hz next to a half-power "
+                             "crossing is flagged"):
+        pd.half_power_damping(pd.FRF(freqs, values), 200)
+
+
 def _walked_half_power(mag, f, i):
     """Reference crossings, found by walking sample by sample away from the
-    peak, plus the resolution rule: (f_lo, f_hi), or the start of the
-    BandwidthError message."""
+    peak, plus the resolution and flagged-sample rules: (f_lo, f_hi), or the
+    error class and the start of its message."""
     thr = mag[i] / np.sqrt(2.0)
     a = i
     while a > 0 and mag[a] >= thr:
         a -= 1
     if mag[a] >= thr:
-        return "low-frequency"
-    f_lo = f[a] + (thr - mag[a]) * (f[a + 1] - f[a]) / (mag[a + 1] - mag[a])
+        return BandwidthError, "low-frequency"
     b = i
     while b < mag.size - 1 and mag[b] >= thr:
         b += 1
     if mag[b] >= thr:
-        return "high-frequency"
-    f_hi = f[b - 1] + (thr - mag[b - 1]) * (f[b] - f[b - 1]) / (mag[b] - mag[b - 1])
+        return BandwidthError, "high-frequency"
     if a == i - 1 or b == i + 1:
-        return f"peak at {f[i]:g} Hz not resolved"
+        return BandwidthError, f"peak at {f[i]:g} Hz not resolved"
+    for s in (a + 1, b - 1):
+        if np.isinf(mag[s]):
+            return InvalidInputError, f"the sample at {f[s]:g} Hz"
+    f_lo = f[a] + (thr - mag[a]) * (f[a + 1] - f[a]) / (mag[a + 1] - mag[a])
+    f_hi = f[b - 1] + (thr - mag[b - 1]) * (f[b] - f[b - 1]) / (mag[b] - mag[b - 1])
     return f_lo, f_hi
 
 
@@ -325,20 +338,19 @@ def _half_power_records(draw):
 def test_half_power_lookup_matches_the_walk(record):
     freqs, values, i = record
     frf = pd.FRF(freqs, values)
-    # An inf sample next to a crossing interpolates to nan on both paths.
-    with np.errstate(invalid="ignore"):
-        expected = _walked_half_power(np.abs(frf.values), frf.freqs_hz, i)
-        if isinstance(expected, str):
-            with pytest.raises(BandwidthError, match=f"^{expected}"):
-                pd.half_power_damping(frf, i)
-            return
-        try:
-            pd.DampingEstimate(float(freqs[i]), 2.0, *map(float, expected))
-        except InvalidInputError as exc:  # nan, or a band too wide
-            with pytest.raises(InvalidInputError, match=re.escape(str(exc))):
-                pd.half_power_damping(frf, i)
-            return
-        est = pd.half_power_damping(frf, i)
+    expected = _walked_half_power(np.abs(frf.values), frf.freqs_hz, i)
+    if isinstance(expected[0], type):
+        error, message = expected
+        with pytest.raises(error, match=f"^{re.escape(message)}"):
+            pd.half_power_damping(frf, i)
+        return
+    try:
+        pd.DampingEstimate(float(freqs[i]), 2.0, *map(float, expected))
+    except InvalidInputError as exc:  # a band too wide
+        with pytest.raises(InvalidInputError, match=re.escape(str(exc))):
+            pd.half_power_damping(frf, i)
+        return
+    est = pd.half_power_damping(frf, i)
     assert (est.f_lo, est.f_hi) == expected
 
 
