@@ -25,7 +25,8 @@ def frf_solve(A, b, c, d, omegas):
     n = A.shape[0]
     out = np.empty(omegas.size, dtype=np.complex128)
     eye = np.eye(n)
-    bc = np.asarray(b, dtype=np.complex128)
+    # (1, n, 1), not (n, 1): numpy 1.x reads a 2-D b as a stack of vectors.
+    bc = np.asarray(b, dtype=np.complex128).reshape(1, n, 1)
     cc = np.asarray(c, dtype=np.complex128)
     d = float(d)
     # Column sums of |jw I - A| are the off-diagonal |A|'s plus |jw - a_jj|.
@@ -38,17 +39,15 @@ def frf_solve(A, b, c, d, omegas):
     for lo in range(0, omegas.size, chunk):
         w = omegas[lo:lo + chunk]
         M = 1j * w[:, None, None] * eye - A
-        rhs = np.empty((w.size, n, 1), dtype=np.complex128)
-        rhs[:] = bc[:, None]
         try:
-            X = np.linalg.solve(M, rhs)
+            X = np.linalg.solve(M, bc)
         except np.linalg.LinAlgError:
             # Retry point by point so one singular frequency does not take
             # down the whole chunk.
-            X = np.empty_like(rhs)
+            X = np.empty_like(M[:, :, :1])
             for k in range(w.size):
                 try:
-                    X[k] = np.linalg.solve(M[k], rhs[k])
+                    X[k] = np.linalg.solve(M[k], bc[0])
                 except np.linalg.LinAlgError:
                     X[k] = np.inf
         # Singular samples were filled with inf above; the matmul then emits

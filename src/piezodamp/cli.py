@@ -277,30 +277,23 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument(*names, default=default, **kw)
         shared.add_argument(*names, default=argparse.SUPPRESS, **kw)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("modes", parents=[shared],
-                   help="export modal frequencies and shapes").set_defaults(
-        func=cmd_modes)
-    sub.add_parser("coupling", parents=[shared],
-                   help="coupling factors at the configured patch position"
-                   ).set_defaults(func=cmd_coupling)
-    sub.add_parser("place", parents=[shared],
-                   help="scan positions and place the patch").set_defaults(
-        func=cmd_place)
-    sub.add_parser("ppf-design", parents=[shared],
-                   help="filter summary and critical gain").set_defaults(
-        func=cmd_ppf_design)
-    sub.add_parser("sweep", parents=[shared],
-                   help="closed-loop damping over the configured gains"
-                   ).set_defaults(func=cmd_sweep)
-    an = sub.add_parser("analyze", parents=[shared],
-                        help="peak table of an FRF CSV file")
+    # Built per call, so it looks up the cmd_* functions bound at that time.
+    for name, func, text in (
+            ("modes", cmd_modes, "export modal frequencies and shapes"),
+            ("coupling", cmd_coupling,
+             "coupling factors at the configured patch position"),
+            ("place", cmd_place, "scan positions and place the patch"),
+            ("ppf-design", cmd_ppf_design, "filter summary and critical gain"),
+            ("sweep", cmd_sweep, "closed-loop damping over the configured gains"),
+            ("analyze", cmd_analyze, "peak table of an FRF CSV file")):
+        sub.add_parser(name, parents=[shared], help=text).set_defaults(func=func)
+    an = sub.choices["analyze"]
     an.add_argument("--frf", required=True, help="FRF CSV file to analyze")
     an.add_argument("--band", default=None, help="frequency band 'lo,hi' in Hz")
     an.add_argument("--min-prominence-db", type=float, default=None,
                     help="peak prominence threshold in dB (default: "
                          "[analysis] min_prominence_db with --config, "
                          "else 3)")
-    an.set_defaults(func=cmd_analyze)
     return parser
 
 

@@ -91,8 +91,8 @@ def _grid(freqs_hz) -> np.ndarray:
     f = np.asarray(freqs_hz, dtype=float)
     if f.ndim != 1 or f.size < 2:
         raise InvalidInputError("need at least two frequency points")
-    if f[0] <= 0.0 or np.any(np.diff(f) <= 0.0):
-        raise InvalidInputError("frequencies must be positive and strictly increasing")
+    if not (0.0 < f[0] and np.all(np.diff(f) > 0.0) and f[-1] < np.inf):
+        raise InvalidInputError("frequencies must be positive, finite and strictly increasing")
     return f
 
 
@@ -128,10 +128,7 @@ def find_peaks(frf: FRF, band_hz, min_prominence_db: float = 3.0) -> list[int]:
     Record boundaries are never reported as peaks. Flagged samples inside
     the band are rejected; re-run the response on a shifted grid instead.
     """
-    if not 0.0 < min_prominence_db < np.inf:
-        raise InvalidInputError(
-            f"min_prominence_db must be positive and finite, got "
-            f"{min_prominence_db:g}")
+    _check_prominence(min_prominence_db)
     lo, hi = float(band_hz[0]), float(band_hz[1])
     f = frf.freqs_hz
     if lo >= hi:
@@ -150,6 +147,13 @@ def find_peaks(frf: FRF, band_hz, min_prominence_db: float = 3.0) -> list[int]:
             "response on a shifted grid")
     peaks = _prominent_peaks(_db(np.abs(frf.values)), min_prominence_db)
     return [int(i) for i in peaks if in_band[i]]
+
+
+def _check_prominence(min_prominence_db: float) -> None:
+    if not 0.0 < min_prominence_db < np.inf:
+        raise InvalidInputError(
+            f"min_prominence_db must be positive and finite, got "
+            f"{min_prominence_db:g}")
 
 
 def _db(mag):
@@ -232,8 +236,8 @@ class DampingEstimate:
         if not self.f_lo < self.f_peak < self.f_hi:
             raise InvalidInputError(
                 "half-power frequencies must bracket the peak")
-        if self.peak_mag <= 0.0:
-            raise InvalidInputError("peak magnitude must be positive")
+        if not 0.0 < self.peak_mag < np.inf:
+            raise InvalidInputError("peak magnitude must be positive and finite")
         if self.q_factor <= 0.5:
             raise InvalidInputError(
                 f"Q = {self.q_factor:g} <= 0.5; the peak is not a resonance")
@@ -299,8 +303,8 @@ def half_power_damping(frf: FRF, peak_index: int) -> DampingEstimate:
 
 def default_frequency_grid(center_hz: float) -> np.ndarray:
     """Uniform 2001-point grid over [0.8, 1.2] times the target frequency."""
-    if center_hz <= 0.0:
-        raise InvalidInputError("center frequency must be positive")
+    if not 0.0 < center_hz < np.inf:
+        raise InvalidInputError("center frequency must be positive and finite")
     return np.linspace(0.8 * center_hz, 1.2 * center_hz, 2001)
 
 
@@ -338,10 +342,11 @@ def gain_sweep(plant: ModalPlant, cfg: PPFConfig, gains, freqs_hz=None,
     gain_list = [float(g) for g in gains]
     if not gain_list:
         raise InvalidInputError("at least one gain is required")
-    if any(g < 0.0 for g in gain_list):
-        raise InvalidInputError("gains must be >= 0")
+    if not all(0.0 <= g < np.inf for g in gain_list):
+        raise InvalidInputError("gains must be finite and >= 0")
     if any(b <= a for a, b in zip(gain_list, gain_list[1:])):
         raise InvalidInputError("gains must be strictly increasing")
+    _check_prominence(min_prominence_db)
     if freqs_hz is None:
         nearest = plant.omegas[np.argmin(np.abs(plant.omegas - cfg.omega_f))]
         freqs_hz = default_frequency_grid(nearest / TWO_PI)

@@ -1,8 +1,11 @@
 """Host-structure modal models: analytic cantilever, finite elements, measured shapes.
 
-Angular frequency in rad/s everywhere inside the package; Hz appears only at
-file and command-line boundaries. Mode shapes are sampled on a shared grid
-that starts at the clamped end (x = 0).
+Models, couplings and loops use rad/s (``Mode.omega``, ``ModalPlant``,
+``PPFConfig``, the state-space matrices); frequency responses use Hz (``FRF``,
+``find_peaks``, ``DampingEstimate``, ``default_frequency_grid``, ``frf_of``,
+``closed_loop_frf``, ``gain_sweep``), as do files, the command line and every
+name ending in ``hz``. Mode shapes are sampled on a shared grid that starts at
+the clamped end (x = 0).
 """
 
 from __future__ import annotations
@@ -38,12 +41,12 @@ class BeamProperties:
     structural_damping: float = DEFAULT_DAMPING
 
     def __post_init__(self):
-        if self.length <= 0.0:
-            raise InvalidInputError("beam length must be positive")
-        if self.bending_stiffness <= 0.0:
-            raise InvalidInputError("bending stiffness must be positive")
-        if self.mass_per_length <= 0.0:
-            raise InvalidInputError("mass per unit length must be positive")
+        if not 0.0 < self.length < np.inf:
+            raise InvalidInputError("beam length must be positive and finite")
+        if not 0.0 < self.bending_stiffness < np.inf:
+            raise InvalidInputError("bending stiffness must be positive and finite")
+        if not 0.0 < self.mass_per_length < np.inf:
+            raise InvalidInputError("mass per unit length must be positive and finite")
         if not 0.0 <= self.structural_damping < 1.0:
             raise InvalidInputError("structural damping must lie in [0, 1)")
 
@@ -90,8 +93,8 @@ class ModalModel:
             raise InvalidInputError("grid must be one-dimensional with at least two points")
         if x[0] != 0.0:
             raise InvalidInputError("grid must start at x = 0")
-        if np.any(np.diff(x) <= 0.0):
-            raise InvalidInputError("grid must be strictly increasing")
+        if not (np.all(np.diff(x) > 0.0) and x[-1] < np.inf):
+            raise InvalidInputError("grid must be finite and strictly increasing")
         self.grid = x
         if not self.modes:
             raise InvalidInputError("model must contain at least one mode")
@@ -110,6 +113,8 @@ class ModalModel:
             if m.phi.shape != x.shape or m.theta.shape != x.shape:
                 raise InvalidInputError(
                     f"mode {k}: shape sample count does not match the grid")
+            if not (np.isfinite(m.phi).all() and np.isfinite(m.theta).all()):
+                raise InvalidInputError(f"mode {k}: shape samples must be finite")
         omegas = [m.omega for m in self.modes]
         if any(b <= a for a, b in zip(omegas, omegas[1:])):
             raise InvalidInputError("modes must be sorted by strictly increasing omega")

@@ -31,10 +31,10 @@ class PiezoMaterial:
     epsT: float
 
     def __post_init__(self):
-        if self.s11E <= 0.0:
-            raise InvalidInputError("s11E must be positive")
-        if self.epsT <= 0.0:
-            raise InvalidInputError("epsT must be positive")
+        if not 0.0 < self.s11E < np.inf:
+            raise InvalidInputError("s11E must be positive and finite")
+        if not 0.0 < self.epsT < np.inf:
+            raise InvalidInputError("epsT must be positive and finite")
         k31_squared(self)
 
     @property
@@ -46,9 +46,9 @@ class PiezoMaterial:
 def k31_squared(mat: PiezoMaterial) -> float:
     """Material coupling factor d31^2 / (s11E epsT); must lie in [0, 1)."""
     k2 = mat.d31 * mat.d31 / (mat.s11E * mat.epsT)
-    if k2 >= 1.0:
+    if not k2 < 1.0:
         raise InvalidMaterialError(
-            f"d31^2/(s11E epsT) = {k2:g} >= 1 is non-physical")
+            f"d31^2/(s11E epsT) = {k2:g} is non-physical; it must be < 1")
     return k2
 
 
@@ -67,20 +67,20 @@ class PatchGeometry:
     x_start: float = 0.0
 
     def __post_init__(self):
-        if self.length <= 0.0 or self.width <= 0.0 or self.thickness <= 0.0:
-            raise InvalidInputError("patch length, width and thickness must be positive")
-        if self.z_offset <= 0.0:
-            raise InvalidInputError("z_offset must be positive")
-        if self.x_start < 0.0:
-            raise InvalidInputError("x_start must be >= 0")
+        if not all(0.0 < v < np.inf for v in (self.length, self.width, self.thickness)):
+            raise InvalidInputError("patch length, width and thickness must be positive and finite")
+        if not 0.0 < self.z_offset < np.inf:
+            raise InvalidInputError("z_offset must be positive and finite")
+        if not 0.0 <= self.x_start < np.inf:
+            raise InvalidInputError("x_start must be finite and >= 0")
 
     @classmethod
     def on_host(cls, length: float, width: float, thickness: float,
                 host_thickness: float, x_start: float = 0.0) -> "PatchGeometry":
         """Surface-bonded patch: mid-plane sits (t_host + t_p)/2 off the
         neutral axis of a symmetric host of thickness t_host."""
-        if host_thickness <= 0.0:
-            raise InvalidInputError("host thickness must be positive")
+        if not 0.0 < host_thickness < np.inf:
+            raise InvalidInputError("host thickness must be positive and finite")
         return cls(length, width, thickness,
                    (host_thickness + thickness) / 2.0, x_start)
 

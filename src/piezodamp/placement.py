@@ -31,18 +31,19 @@ class PlacementProblem:
     min_gap: float = 0.0
 
     def __post_init__(self):
-        if self.step <= 0.0:
-            raise InvalidInputError("step must be positive")
-        if self.n_patches < 1:
-            raise InvalidInputError("n_patches must be >= 1")
-        if self.min_gap < 0.0:
-            raise InvalidInputError("min_gap must be >= 0")
+        if not 0.0 < self.step < np.inf:
+            raise InvalidInputError("step must be positive and finite")
+        if not 1 <= self.n_patches < np.inf:
+            raise InvalidInputError("n_patches must be finite and >= 1")
+        if not 0.0 <= self.min_gap < np.inf:
+            raise InvalidInputError("min_gap must be finite and >= 0")
         if not self.mode_weights:
             raise InvalidInputError("at least one mode weight is required")
         for idx, w in self.mode_weights.items():
             self.model.mode(idx)
-            if w < 0.0:
-                raise InvalidInputError(f"weight of mode {idx} must be >= 0")
+            if not 0.0 <= w < np.inf:
+                raise InvalidInputError(
+                    f"weight of mode {idx} must be finite and >= 0")
         if not any(w > 0.0 for w in self.mode_weights.values()):
             raise InvalidInputError("at least one mode weight must be positive")
 

@@ -42,10 +42,6 @@ class LinearSystem:
             if not np.all(np.isfinite(mat)):
                 raise InvalidInputError(f"{name} contains non-finite entries")
 
-    @property
-    def n_states(self) -> int:
-        return self.A.shape[0]
-
 
 @dataclass
 class ModalPlant:
@@ -70,9 +66,9 @@ class ModalPlant:
             raise InvalidInputError("omegas, zetas and b must have equal length")
         if self.omegas.size == 0:
             raise InvalidInputError("plant needs at least one mode")
-        if np.any(self.omegas <= 0.0):
-            raise InvalidInputError("plant frequencies must be positive")
-        if np.any((self.zetas < 0.0) | (self.zetas >= 1.0)):
+        if not np.all((0.0 < self.omegas) & (self.omegas < np.inf)):
+            raise InvalidInputError("plant frequencies must be positive and finite")
+        if not np.all((0.0 <= self.zetas) & (self.zetas < 1.0)):
             raise InvalidInputError("plant damping ratios must lie in [0, 1)")
         if not np.all(np.isfinite(self.b)):
             raise InvalidInputError("influence coefficients must be finite")
@@ -91,12 +87,12 @@ class PPFConfig:
     gain: float = 0.0
 
     def __post_init__(self):
-        if self.omega_f <= 0.0:
-            raise InvalidInputError("filter frequency must be positive")
+        if not 0.0 < self.omega_f < np.inf:
+            raise InvalidInputError("filter frequency must be positive and finite")
         if not 0.0 < self.zeta_f < 1.0:
             raise InvalidInputError("filter damping must lie in (0, 1)")
-        if self.gain < 0.0:
-            raise InvalidInputError("gain must be >= 0")
+        if not 0.0 <= self.gain < np.inf:
+            raise InvalidInputError("gain must be finite and >= 0")
 
     @classmethod
     def from_hz(cls, freq_hz: float, zeta_f: float,
@@ -108,16 +104,15 @@ def plant_system(plant: ModalPlant) -> LinearSystem:
     """Realize the plant with states (x_i, xdot_i) per mode, input u, and the
     collocated output y = sum b_i x_i."""
     n = plant.n_modes
+    i = 2 * np.arange(n)
     A = np.zeros((2 * n, 2 * n))
     B = np.zeros((2 * n, 1))
     C = np.zeros((1, 2 * n))
-    for i in range(n):
-        w = plant.omegas[i]
-        A[2 * i, 2 * i + 1] = 1.0
-        A[2 * i + 1, 2 * i] = -w * w
-        A[2 * i + 1, 2 * i + 1] = -2.0 * plant.zetas[i] * w
-        B[2 * i + 1, 0] = plant.b[i]
-        C[0, 2 * i] = plant.b[i]
+    A[i, i + 1] = 1.0
+    A[i + 1, i] = -plant.omegas * plant.omegas
+    A[i + 1, i + 1] = -2.0 * plant.zetas * plant.omegas
+    B[i + 1, 0] = plant.b
+    C[0, i] = plant.b
     return LinearSystem(A, B, C)
 
 
@@ -163,7 +158,7 @@ def close_loop(plant_sys: LinearSystem, ctrl_sys: LinearSystem) -> LinearSystem:
     """
     Ap, Bp, Cp = plant_sys.A, plant_sys.B, plant_sys.C
     Ac, Bc, Cc = ctrl_sys.A, ctrl_sys.B, ctrl_sys.C
-    zero = np.zeros((ctrl_sys.n_states, 1))
+    zero = np.zeros_like(Bc)
     return LinearSystem(np.block([[Ap, Bp @ Cc], [Bc @ Cp, Ac]]),
                         np.vstack([Bp, zero]), np.hstack([Cp, zero.T]))
 

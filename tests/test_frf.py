@@ -69,6 +69,9 @@ def test_frf_container_validation():
         pd.FRF(np.array([1.0, 2.0]), np.array([1.0 + 0j]))
     with pytest.raises(InvalidInputError):
         pd.FRF(np.array([2.0, 1.0]), np.array([1.0 + 0j, 2.0 + 0j]))
+    for bad in ([1.0, np.nan], [1.0, np.inf]):
+        with pytest.raises(InvalidInputError, match="finite"):
+            pd.FRF(np.array(bad), np.array([1.0 + 0j, 2.0 + 0j]))
     ok = pd.FRF(np.array([1.0, 2.0]), np.array([np.inf + 0j, 2.0 + 0j]))
     assert ok.flagged.tolist() == [True, False]
 
@@ -230,6 +233,9 @@ def test_damping_estimate_validation():
         pd.DampingEstimate(75.0, 1.0, 75.5, 76.0)
     with pytest.raises(InvalidInputError, match="0.5"):
         pd.DampingEstimate(1.4, 1.0, 1.0, 3.9)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidInputError, match="peak magnitude"):
+            pd.DampingEstimate(75.0, bad, 74.5, 75.5)
 
 
 def test_half_power_missing_crossing_sides():
@@ -391,8 +397,9 @@ def test_default_frequency_grid():
     assert grid.size == 2001
     assert grid[0] == pytest.approx(60.0)
     assert grid[-1] == pytest.approx(90.0)
-    with pytest.raises(InvalidInputError):
-        pd.default_frequency_grid(-1.0)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(InvalidInputError, match="center frequency"):
+            pd.default_frequency_grid(bad)
 
 
 def test_gain_sweep_flags_unstable_rows():
@@ -524,6 +531,15 @@ def test_gain_sweep_validation():
         pd.gain_sweep(plant, cfg, [2.0, 1.0])
     with pytest.raises(InvalidInputError):
         pd.gain_sweep(plant, cfg, [-1.0, 1.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidInputError, match="gains must be finite"):
+            pd.gain_sweep(plant, cfg, [1.0, bad])
+    # A threshold find_peaks refuses fails the call instead of being logged
+    # once per stable row.
+    for prominence in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(InvalidInputError,
+                           match="min_prominence_db must be positive"):
+            pd.gain_sweep(plant, cfg, [1.0], min_prominence_db=prominence)
 
 
 def test_gain_sweep_targets_mode_nearest_filter():

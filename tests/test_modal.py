@@ -123,6 +123,12 @@ def test_beam_properties_validation():
         pd.BeamProperties(1.0, -1.0, 1.0)
     with pytest.raises(InvalidInputError):
         pd.BeamProperties(1.0, 1.0, 1.0, structural_damping=1.0)
+    for k in range(3):
+        for bad in (np.nan, np.inf):
+            args = [1.0, 1.0, 1.0]
+            args[k] = bad
+            with pytest.raises(InvalidInputError, match="positive and finite"):
+                pd.BeamProperties(*args)
 
 
 def test_fe_matches_analytic(unit_beam, unit_model):
@@ -515,6 +521,11 @@ def test_modal_model_validation(unit_model):
         grid = unit_model.grid.copy()
         grid[5] = grid[4]
         pd.ModalModel(grid, [m], "analytic")
+    for bad in (np.nan, np.inf):
+        grid = unit_model.grid.copy()
+        grid[-1] = bad
+        with pytest.raises(InvalidInputError, match="finite"):
+            pd.ModalModel(grid, [m], "analytic")
     with pytest.raises(InvalidInputError, match="source"):
         pd.ModalModel(unit_model.grid, [m], "guessed")
     with pytest.raises(InvalidInputError, match="sorted"):
@@ -530,7 +541,11 @@ def test_modal_model_validation(unit_model):
             (replace(m, zeta=1.0), r"mode 2: zeta must lie in \[0, 1\)"),
             (replace(m, zeta=-0.1), r"mode 2: zeta must lie in \[0, 1\)"),
             (replace(m, phi=m.phi[:-1]),
-             "mode 2: shape sample count does not match the grid")):
+             "mode 2: shape sample count does not match the grid"),
+            (replace(m, phi=np.append(m.phi[:-1], np.nan)),
+             "mode 2: shape samples must be finite"),
+            (replace(m, theta=np.append(m.theta[:-1], np.inf)),
+             "mode 2: shape samples must be finite")):
         with pytest.raises(InvalidInputError, match=message):
             pd.ModalModel(unit_model.grid, [unit_model.modes[1], bad],
                           "analytic")

@@ -19,6 +19,13 @@ def test_material_validation():
         pd.PiezoMaterial(-1.8e-10, 0.0, 1.6e-8)
     with pytest.raises(InvalidInputError):
         pd.PiezoMaterial(-1.8e-10, 1.6e-11, -1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidInputError):
+            pd.PiezoMaterial(bad, 1.6e-11, 1.6e-8)
+        with pytest.raises(InvalidInputError, match="s11E"):
+            pd.PiezoMaterial(-1.8e-10, bad, 1.6e-8)
+        with pytest.raises(InvalidInputError, match="epsT"):
+            pd.PiezoMaterial(-1.8e-10, 1.6e-11, bad)
 
 
 def test_patch_geometry_validation():
@@ -32,6 +39,14 @@ def test_patch_geometry_validation():
     assert p.z_offset == pytest.approx(0.00125, rel=1e-15)
     with pytest.raises(InvalidInputError):
         pd.PatchGeometry.on_host(0.1, 0.02, 0.0005, 0.0)
+    for bad in (np.nan, np.inf):
+        for k in range(5):
+            args = [0.1, 0.02, 0.0005, 0.001, 0.0]
+            args[k] = bad
+            with pytest.raises(InvalidInputError, match="finite"):
+                pd.PatchGeometry(*args)
+        with pytest.raises(InvalidInputError, match="host thickness"):
+            pd.PatchGeometry.on_host(0.1, 0.02, 0.0005, bad)
 
 
 def _ramp_model(omega=2.0 * np.pi * 10.0):

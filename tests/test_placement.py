@@ -124,6 +124,19 @@ def test_problem_validation(unit_model, material, patch):
         pd.PlacementProblem(unit_model, patch, material, {1: -1.0}, 0.1)
     with pytest.raises(InvalidInputError, match="positive"):
         pd.PlacementProblem(unit_model, patch, material, {1: 0.0}, 0.1)
+    # Non-finite values fail the same checks instead of reaching the scan.
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidInputError, match="step"):
+            pd.PlacementProblem(unit_model, patch, material, {1: 1.0}, bad)
+        with pytest.raises(InvalidInputError, match="min_gap"):
+            pd.PlacementProblem(unit_model, patch, material, {1: 1.0}, 0.1,
+                                min_gap=bad)
+        with pytest.raises(InvalidInputError, match="n_patches"):
+            pd.PlacementProblem(unit_model, patch, material, {1: 1.0}, 0.1,
+                                n_patches=bad)
+        with pytest.raises(InvalidInputError, match="weight of mode 2"):
+            pd.PlacementProblem(unit_model, patch, material,
+                                {1: 1.0, 2: bad}, 0.1)
 
 
 def test_scan_deterministic(unit_model, material, patch):

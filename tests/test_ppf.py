@@ -6,7 +6,7 @@ from piezodamp.errors import (DegeneratePlantError, InvalidInputError)
 
 
 def _frf_point(sys_, w):
-    n = sys_.n_states
+    n = sys_.A.shape[0]
     M = 1j * w * np.eye(n) - sys_.A
     return (sys_.C @ np.linalg.solve(M, sys_.B.astype(complex)))[0, 0]
 
@@ -32,6 +32,12 @@ def test_plant_validation():
         pd.ModalPlant([-1.0], [0.01], [1.0])
     with pytest.raises(InvalidInputError):
         pd.ModalPlant([1.0], [1.0], [1.0])
+    # An inf mode would drop out of g* = 1 / sum(b_i^2 / omega_i^2).
+    for omegas in ([np.inf], [1.0, np.inf], [np.nan]):
+        with pytest.raises(InvalidInputError, match="plant frequencies"):
+            pd.ModalPlant(omegas, [0.01] * len(omegas), [1.0] * len(omegas))
+    with pytest.raises(InvalidInputError, match="damping ratios"):
+        pd.ModalPlant([1.0], [np.nan], [1.0])
 
 
 def test_controller_dc_gain():
@@ -50,6 +56,11 @@ def test_ppf_config_validation():
         pd.PPFConfig(1.0, 1.0)
     with pytest.raises(InvalidInputError):
         pd.PPFConfig(1.0, 0.3, gain=-1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidInputError, match="filter frequency"):
+            pd.PPFConfig(bad, 0.3)
+        with pytest.raises(InvalidInputError, match="gain"):
+            pd.PPFConfig(1.0, 0.3, gain=bad)
     cfg = pd.PPFConfig.from_hz(76.7, 0.3)
     assert cfg.omega_f == pytest.approx(2.0 * np.pi * 76.7, rel=1e-15)
 
@@ -212,4 +223,4 @@ def test_linear_system_validation():
     with pytest.raises(InvalidInputError):
         pd.LinearSystem([[np.nan]], [[1.0]], [[1.0]])
     sys_ = pd.LinearSystem([[-1.0]], [[1.0]], [[1.0]])
-    assert sys_.n_states == 1
+    assert sys_.A.shape[0] == 1
