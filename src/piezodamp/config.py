@@ -17,10 +17,11 @@ Sections and keys:
                    n_patches (optional), min_gap_m (optional),
                    mode_weights (optional "1:1.0,2:0.5", default all 1)
 
-Values are checked on load: every number must be finite and referenced
-files must exist. The model-size limits (n_grid, n_elements against n_modes)
-and the shapes file's contents are checked when a command builds the model,
-with errors that name [structure]. Unknown keys are ignored, ``%`` is literal.
+Values are checked on load: numbers must be finite and files must exist. A
+rule that a library type or function states is checked by handing the values
+to it, and its error reads ``[section]: message``; the model's size limits
+and shapes file are checked so when a command builds it. Unknown keys are
+ignored, ``%`` is literal.
 """
 
 from __future__ import annotations
@@ -32,11 +33,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, InvalidInputError
+from .frf import _check_gains, _check_prominence
 from .modal import (DEFAULT_DAMPING, SOURCE_ANALYTIC, SOURCE_FE,
                     SOURCE_MEASURED, BeamProperties, ModalModel,
                     analytic_cantilever_modes, fe_beam_modes,
                     load_measured_modes)
 from .piezo import PatchGeometry, PiezoMaterial
+from .ppf import PPFConfig
 
 _BUILDERS = {SOURCE_ANALYTIC: analytic_cantilever_modes,
              SOURCE_FE: fe_beam_modes,
@@ -47,6 +50,14 @@ def _section(cp: configparser.ConfigParser, name: str):
     if not cp.has_section(name):
         raise ConfigError(f"missing [{name}] section")
     return cp[name]
+
+
+def _checked(section: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, whose input errors name [section]."""
+    try:
+        return make(*args, **kwargs)
+    except InvalidInputError as exc:
+        raise ConfigError(f"[{section}]: {exc}") from None
 
 
 def _finite(sect, key: str, value: float) -> float:
@@ -90,11 +101,8 @@ def _weights(sect, key: str) -> dict[int, float] | None:
         item = item.strip()
         if not item:
             continue
-        if ":" not in item:
-            raise ConfigError(
-                f"[{sect.name}] {key}: entry {item!r} must look like 'mode:weight'")
-        mode_s, weight_s = item.split(":", 1)
-        try:
+        mode_s, _, weight_s = item.partition(":")
+        try:  # without a colon, weight_s is empty
             mode, weight = int(mode_s), _finite(sect, key, float(weight_s))
         except ValueError:
             raise ConfigError(
@@ -131,18 +139,11 @@ class ProjectConfig:
 
     def build_model(self) -> ModalModel:
         """Materialize the modal model the config describes."""
-        try:
-            return _BUILDERS[self.source](**self.structure)
-        except InvalidInputError as exc:
-            raise ConfigError(f"[structure]: {exc}") from None
+        return _checked("structure", _BUILDERS[self.source], **self.structure)
 
 
 def load_config(path) -> ProjectConfig:
-    """Parse and validate a project INI file.
-
-    Values are checked eagerly, including the module-level invariants of the
-    material and patch, so commands start from a known-good state.
-    """
+    """Parse and validate a project INI file, as the module docstring says."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file {path} does not exist")
@@ -184,15 +185,10 @@ def load_config(path) -> ProjectConfig:
                      "damping": damping, "smooth": smooth}
         n_modes = len(freqs)
     else:
-        try:
-            props = BeamProperties(
-                _float(st, "length_m"),
-                _float(st, "EI_Nm2"),
-                _float(st, "mass_per_length_kgpm"),
-                _float(st, "damping", DEFAULT_DAMPING),
-            )
-        except InvalidInputError as exc:
-            raise ConfigError(f"[structure]: {exc}") from None
+        props = _checked("structure", BeamProperties,
+                         _float(st, "length_m"), _float(st, "EI_Nm2"),
+                         _float(st, "mass_per_length_kgpm"),
+                         _float(st, "damping", DEFAULT_DAMPING))
         n_modes = _int(st, "n_modes")
         if n_modes < 1:
             raise ConfigError("[structure] n_modes must be >= 1")
@@ -203,12 +199,8 @@ def load_config(path) -> ProjectConfig:
         structure = {"props": props, "n_modes": n_modes, size: sizes[size]}
 
     mt = _section(cp, "material")
-    try:
-        material = PiezoMaterial(_float(mt, "d31_CpN"),
-                                 _float(mt, "s11E_perPa"),
-                                 _float(mt, "epsT_FpM"))
-    except InvalidInputError as exc:
-        raise ConfigError(f"[material]: {exc}") from None
+    material = _checked("material", PiezoMaterial, _float(mt, "d31_CpN"),
+                        _float(mt, "s11E_perPa"), _float(mt, "epsT_FpM"))
 
     pt = _section(cp, "patch")
     has_z = "z_offset_m" in pt
@@ -217,25 +209,17 @@ def load_config(path) -> ProjectConfig:
             "[patch] needs exactly one of z_offset_m or host_thickness_m")
     make, offset = ((PatchGeometry, "z_offset_m") if has_z else
                     (PatchGeometry.on_host, "host_thickness_m"))
-    try:
-        patch = make(_float(pt, "length_m"), _float(pt, "width_m"),
-                     _float(pt, "thickness_m"), _float(pt, offset),
-                     _float(pt, "x_start_m", 0.0))
-    except InvalidInputError as exc:
-        raise ConfigError(f"[patch]: {exc}") from None
+    patch = _checked("patch", make, _float(pt, "length_m"),
+                     _float(pt, "width_m"), _float(pt, "thickness_m"),
+                     _float(pt, offset), _float(pt, "x_start_m", 0.0))
 
     pf = _section(cp, "ppf")
+    # The INI values themselves are kept, so outputs echo them bit for bit.
     ppf_freq = _float(pf, "freq_hz")
     ppf_zeta = _float(pf, "zeta")
-    if ppf_freq <= 0.0:
-        raise ConfigError("[ppf] freq_hz must be positive")
-    if not 0.0 < ppf_zeta < 1.0:
-        raise ConfigError("[ppf] zeta must lie in (0, 1)")
+    _checked("ppf", PPFConfig.from_hz, ppf_freq, ppf_zeta)
     gains = _float_list(pf, "gains", [])
-    if any(g < 0.0 for g in gains):
-        raise ConfigError("[ppf] gains must be >= 0")
-    if any(b <= a for a, b in zip(gains, gains[1:])):
-        raise ConfigError("[ppf] gains must be strictly increasing")
+    _checked("ppf", _check_gains, gains)
 
     an = _section(cp, "analysis")
     band = _float_list(an, "band_hz")
@@ -245,8 +229,7 @@ def load_config(path) -> ProjectConfig:
     if n_freq < 2:
         raise ConfigError("[analysis] n_freq must be >= 2")
     min_prom = _float(an, "min_prominence_db", 1.0)
-    if min_prom <= 0.0:
-        raise ConfigError("[analysis] min_prominence_db must be positive")
+    _checked("analysis", _check_prominence, min_prom)
     step = _float(an, "step_m", 0.0)
     if "step_m" in an and step <= 0.0:
         raise ConfigError("[analysis] step_m must be positive")

@@ -342,10 +342,7 @@ def gain_sweep(plant: ModalPlant, cfg: PPFConfig, gains, freqs_hz=None,
     gain_list = [float(g) for g in gains]
     if not gain_list:
         raise InvalidInputError("at least one gain is required")
-    if not all(0.0 <= g < np.inf for g in gain_list):
-        raise InvalidInputError("gains must be finite and >= 0")
-    if any(b <= a for a, b in zip(gain_list, gain_list[1:])):
-        raise InvalidInputError("gains must be strictly increasing")
+    _check_gains(gain_list)
     _check_prominence(min_prominence_db)
     if freqs_hz is None:
         nearest = plant.omegas[np.argmin(np.abs(plant.omegas - cfg.omega_f))]
@@ -373,6 +370,13 @@ def gain_sweep(plant: ModalPlant, cfg: PPFConfig, gains, freqs_hz=None,
             estimate = None
         rows.append(SweepRow(g, estimate, resp))
     return rows
+
+
+def _check_gains(gains: list[float]) -> None:
+    if not all(0.0 <= g < np.inf for g in gains):
+        raise InvalidInputError("gains must be finite and >= 0")
+    if any(b <= a for a, b in zip(gains, gains[1:])):
+        raise InvalidInputError("gains must be strictly increasing")
 
 
 def bode_table(frf: FRF):

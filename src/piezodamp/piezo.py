@@ -112,12 +112,16 @@ def delta_thetas(model: ModalModel, patch_length: float,
     Patch edges are evaluated by linear interpolation of theta. A patch that
     leaves the grid or spans less than one grid cell is rejected.
     """
-    if patch_length <= 0.0:
-        raise InvalidInputError("patch length must be positive")
+    if not 0.0 < patch_length < np.inf:
+        raise InvalidInputError(
+            f"patch length must be positive and finite, got {patch_length:g}")
     x = model.grid
     starts = np.atleast_1d(np.asarray(x_starts, dtype=float))
     if starts.size == 0:
         raise InvalidInputError("no candidate positions given")
+    if not np.all(np.isfinite(starts)):
+        raise InvalidInputError(
+            f"x_start = {starts[~np.isfinite(starts)][0]:g} m is not finite")
     L = model.length
     tol = 1e-9 * L
     outside = (starts < -tol) | (starts + patch_length > L + tol)
@@ -179,8 +183,8 @@ def coupling_factor(model: ModalModel, patch: PatchGeometry,
 def coupling_from_frequencies(omega_short: float, omega_open: float) -> float:
     """Coupling factor from a measured short/open circuit frequency pair,
     (W^2 - w^2) / w^2."""
-    if omega_short <= 0.0 or omega_open <= 0.0:
-        raise InvalidInputError("frequencies must be positive")
+    if not (0.0 < omega_short < np.inf and 0.0 < omega_open < np.inf):
+        raise InvalidInputError("frequencies must be positive and finite")
     if omega_open < omega_short:
         raise InvalidInputError(
             "open-circuit frequency below the short-circuit value is non-physical")

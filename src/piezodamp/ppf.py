@@ -8,6 +8,7 @@ is scaled by the gain and added back onto the plant input (positive feedback).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,11 +127,15 @@ def build_plant(model: ModalModel, patch: PatchGeometry,
     Raises a degenerate-plant error when every selected mode has zero slope
     difference across the patch (nothing is controllable).
     """
-    modes = [model.mode(i) for i in selected_modes]
-    if not modes:
+    indices = [operator.index(i) for i in selected_modes]
+    if not indices:
         raise InvalidInputError("selected_modes must not be empty")
+    for k, i in enumerate(indices):
+        if i in indices[:k]:
+            raise InvalidInputError(f"selected_modes lists mode {i} twice")
+    modes = [model.mode(i) for i in indices]
     dth = delta_thetas(model, patch.length, [patch.x_start])[0]
-    dth = dth[[i - 1 for i in selected_modes]]
+    dth = dth[[i - 1 for i in indices]]
     peak = float(np.max(np.abs(dth)))
     if peak == 0.0:
         raise DegeneratePlantError(

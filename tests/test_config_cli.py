@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 import piezodamp as pd
 from piezodamp import cli
-from piezodamp.errors import ConfigError, NumericalError, PiezodampError
+from piezodamp.errors import (ConfigError, InvalidInputError, NumericalError,
+                              PiezodampError)
 
 SUBCOMMANDS = ["modes", "coupling", "place", "ppf-design", "sweep"]
 
@@ -133,12 +134,18 @@ def test_config_errors(tmp_path, gripper_ini):
             ("width_m = 0.02", "width_m = 0",
              r"\[patch\]: patch length, width and thickness must be positive"),
             ("n_modes = 2", "n_modes = 0", r"\[structure\] n_modes must be >= 1"),
-            ("freq_hz = 3.5", "freq_hz = 0", r"\[ppf\] freq_hz must be positive"),
-            ("gains = 1, 2", "gains = -1, 2", r"\[ppf\] gains must be >= 0"),
+            ("freq_hz = 3.5", "freq_hz = 0",
+             r"\[ppf\]: filter frequency must be positive and finite"),
+            # Finite in Hz, but not in rad/s.
+            ("freq_hz = 3.5", "freq_hz = 1e308",
+             r"\[ppf\]: filter frequency must be positive and finite"),
+            ("gains = 1, 2", "gains = -1, 2",
+             r"\[ppf\]: gains must be finite and >= 0"),
             ("step_m = 0.1", "step_m = 0.1\nn_freq = 1",
              r"\[analysis\] n_freq must be >= 2"),
             ("step_m = 0.1", "step_m = 0.1\nmin_prominence_db = 0",
-             r"\[analysis\] min_prominence_db must be positive"),
+             r"\[analysis\]: min_prominence_db must be positive and finite, "
+             r"got 0"),
             ("step_m = 0.1", "step_m = 0", r"\[analysis\] step_m must be positive"),
             ("step_m = 0.1", "step_m = 0.1\nn_patches = 0",
              r"\[analysis\] n_patches must be >= 1"),
@@ -156,8 +163,10 @@ def test_config_errors(tmp_path, gripper_ini):
             ("step_m = 0.1", "step_m = 0.1\nmode_weights = 1:1.0, two:1.0",
              r"\[analysis\] mode_weights: entry 'two:1.0' must look like "
              r"'mode:weight'"),
-            ("zeta = 0.3", "zeta = 1.0", r"\[ppf\] zeta must lie in \(0, 1\)"),
-            ("zeta = 0.3", "zeta = 0", r"\[ppf\] zeta must lie in \(0, 1\)")]:
+            ("zeta = 0.3", "zeta = 1.0",
+             r"\[ppf\]: filter damping must lie in \(0, 1\)"),
+            ("zeta = 0.3", "zeta = 0",
+             r"\[ppf\]: filter damping must lie in \(0, 1\)")]:
         path = _minimal_ini(tmp_path)
         path.write_text(path.read_text().replace(old, new))
         with pytest.raises(ConfigError, match=message):
@@ -223,6 +232,42 @@ def test_load_config_with_one_arbitrary_value_raises_only_toolkit_errors(
         pd.load_config(path)
     except PiezodampError:
         pass
+
+
+_GAINS = st.lists(st.floats() | st.sampled_from([0.0, 1.0, 1e308]),
+                  min_size=1, max_size=5)
+_PROMINENCE = st.floats() | st.sampled_from([0.0, 1e-300, 1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(gains=_GAINS, prominence=_PROMINENCE)
+def test_load_config_refuses_what_gain_sweep_and_find_peaks_refuse(
+        tmp_path_factory, gains, prominence):
+    # One rule set: the INI's [ppf] gains and [analysis] min_prominence_db
+    # are refused exactly when the library functions that use them refuse
+    # them.
+    plant = pd.ModalPlant([10.0], [0.05], [1.0])
+    frf = pd.FRF([1.0, 2.0, 3.0], [1.0, 2.0, 1.0])
+    library_refuses = False
+    try:
+        pd.gain_sweep(plant, pd.PPFConfig(10.0, 0.3), gains,
+                      freqs_hz=[1.0, 1.5, 2.0])
+    except InvalidInputError:
+        library_refuses = True
+    try:
+        pd.find_peaks(frf, (1.0, 3.0), prominence)
+    except InvalidInputError:
+        library_refuses = True
+    path = _minimal_ini(tmp_path_factory.mktemp("rules"),
+                        extra=f"min_prominence_db = {prominence!r}\n")
+    path.write_text(path.read_text().replace(
+        "gains = 1, 2", "gains = " + ", ".join(map(repr, gains))))
+    try:
+        pd.load_config(path)
+    except ConfigError:
+        assert library_refuses
+    else:
+        assert not library_refuses
 
 
 def test_config_measured_missing_file(tmp_path):

@@ -182,6 +182,22 @@ def test_delta_thetas_clamp_to_grid_ends_within_tolerance():
     assert got[0, 0] == model.modes[0].theta[-1] - model.modes[0].theta[0]
 
 
+@pytest.mark.parametrize("length", [np.nan, np.inf, 0.0, -0.1])
+def test_delta_thetas_refuse_a_bad_patch_length(unit_model, length):
+    with pytest.raises(InvalidInputError,
+                       match=f"patch length must be positive and finite, "
+                             f"got {length:g}"):
+        pd.delta_thetas(unit_model, length, [0.0])
+
+
+@pytest.mark.parametrize("start", [np.nan, np.inf, -np.inf])
+def test_delta_thetas_refuse_a_non_finite_start(unit_model, start):
+    # Named as the bad value, not blamed on the grid or the structure's ends.
+    with pytest.raises(InvalidInputError,
+                       match=f"x_start = {start:g} m is not finite"):
+        pd.delta_thetas(unit_model, 0.1, [0.0, start])
+
+
 def test_coupling_from_frequencies_round_trip():
     w = 2.0 * np.pi * 76.0
     k2 = 0.0123
@@ -194,5 +210,10 @@ def test_coupling_from_frequencies_validation():
         pd.coupling_from_frequencies(100.0, 99.0)
     with pytest.raises(InvalidInputError, match="positive"):
         pd.coupling_from_frequencies(0.0, 10.0)
+    for pair in [(10.0, np.inf), (np.nan, 10.0), (10.0, np.nan),
+                 (np.inf, np.inf)]:
+        with pytest.raises(InvalidInputError,
+                           match="frequencies must be positive and finite"):
+            pd.coupling_from_frequencies(*pair)
     # Equal frequencies mean zero coupling, not an error.
     assert pd.coupling_from_frequencies(100.0, 100.0) == 0.0

@@ -79,6 +79,20 @@ def test_build_plant_subset(unit_model, patch):
     assert plant.b[0] == 1.0 or plant.b[0] == -1.0
 
 
+def test_build_plant_refuses_a_repeated_mode(unit_model, patch):
+    # Counting mode 1 twice would double its share of G(0) and so lower g*.
+    with pytest.raises(InvalidInputError,
+                       match="selected_modes lists mode 1 twice"):
+        pd.build_plant(unit_model, patch, [1, 2, 1])
+
+
+def test_build_plant_reads_a_generator_once(unit_model, patch):
+    plant = pd.build_plant(unit_model, patch, (i for i in (1, 2, 3)))
+    ref = pd.build_plant(unit_model, patch, [1, 2, 3])
+    np.testing.assert_array_equal(plant.omegas, ref.omegas)
+    np.testing.assert_array_equal(plant.b, ref.b)
+
+
 def test_shape_scale_reaches_coupling_and_plant_alike(unit_model, patch,
                                                       material):
     # The shape carries the modal mass: halving mode 2's shape, a modal mass
