@@ -136,22 +136,20 @@ def cmd_place(args) -> int:
         raise ConfigError("[analysis] step_m is required for the place command")
     model = cfg.build_model()
     problem = PlacementProblem(model, cfg.patch, cfg.material,
-                               cfg.mode_weights, cfg.placement_step,
-                               cfg.n_patches, cfg.min_gap)
+                               cfg.mode_weights, cfg.placement_step)
     result = optimize_placement(problem)
-    scan, rows = result.scan, result.rows
+    scan = result.scan
     header = (["x_start_m", "objective"]
               + [f"K2_mode{k}" for k in range(1, model.n_modes + 1)])
     table = np.column_stack([scan.x_starts, scan.objective, scan.k2])
     _write_csv(out / "scan.csv", header, map(tuple, table.tolist()))
     _write_csv(out / "placement.csv", header,
-               map(tuple, table[rows].tolist()))
+               map(tuple, table[[result.row]].tolist()))
     if model.source == SOURCE_MEASURED:
         _say(args, "note: unit-peak shapes, coupling values are comparative only")
     _say(args, f"scanned {scan.x_starts.size} candidates, step "
                f"{_fmt(problem.step)} m")
-    for pos in result.positions:
-        _say(args, f"  patch at x_start = {_fmt(pos)} m")
+    _say(args, f"  patch at x_start = {_fmt(result.positions[0])} m")
     _say(args, f"total objective {_fmt(result.objective)}")
     _say(args, f"wrote {out / 'scan.csv'} and {out / 'placement.csv'}")
     return 0

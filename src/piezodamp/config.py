@@ -14,7 +14,6 @@ Sections and keys:
     [ppf]          freq_hz, zeta, gains (comma list for sweeps)
     [analysis]     band_hz = lo,hi; n_freq (optional);
                    min_prominence_db (optional); placement: step_m,
-                   n_patches (optional), min_gap_m (optional),
                    mode_weights (optional "1:1.0,2:0.5", default all 1)
 
 Values are checked on load: numbers must be finite and files must exist. A
@@ -133,8 +132,6 @@ class ProjectConfig:
     n_freq: int
     min_prominence_db: float
     placement_step: float
-    n_patches: int
-    min_gap: float
     mode_weights: dict[int, float]
 
     def build_model(self) -> ModalModel:
@@ -233,12 +230,11 @@ def load_config(path) -> ProjectConfig:
     step = _float(an, "step_m", 0.0)
     if "step_m" in an and step <= 0.0:
         raise ConfigError("[analysis] step_m must be positive")
-    n_patches = _int(an, "n_patches", 1)
-    if n_patches < 1:
-        raise ConfigError("[analysis] n_patches must be >= 1")
-    min_gap = _float(an, "min_gap_m", 0.0)
-    if min_gap < 0.0:
-        raise ConfigError("[analysis] min_gap_m must be >= 0")
+    # Refused rather than ignored like other unknown keys, so an INI that
+    # asks for several patches does not silently get one.
+    if _int(an, "n_patches", 1) != 1:
+        raise ConfigError("[analysis] n_patches: place picks one patch; "
+                          "scan.csv holds every candidate position")
     weights = (_weights(an, "mode_weights")
                or {i: 1.0 for i in range(1, n_modes + 1)})
     for idx, w in weights.items():
@@ -249,7 +245,10 @@ def load_config(path) -> ProjectConfig:
                               f"the {n_modes} modes of [structure]")
         if w < 0.0:
             raise ConfigError("[analysis] mode_weights must be >= 0")
+    if not any(weights.values()):
+        raise ConfigError(
+            "[analysis] mode_weights needs at least one positive weight")
 
     return ProjectConfig(source, structure, material, patch, ppf_freq,
                          ppf_zeta, gains, (band[0], band[1]), n_freq, min_prom,
-                         step, n_patches, min_gap, weights)
+                         step, weights)

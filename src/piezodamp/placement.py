@@ -2,8 +2,7 @@
 
 Candidates are x_start = 0, step, 2*step, ... while the patch still fits;
 the objective at each candidate is the weighted sum of per-mode coupling
-factors. Multiple patches are chosen greedily, best candidate first, under
-a pairwise centre-to-centre clearance of patch length plus ``min_gap``.
+factors. The placement is the one candidate that maximizes it.
 """
 
 from __future__ import annotations
@@ -27,16 +26,10 @@ class PlacementProblem:
     material: PiezoMaterial
     mode_weights: dict[int, float]
     step: float
-    n_patches: int = 1
-    min_gap: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.step < np.inf:
             raise InvalidInputError("step must be positive and finite")
-        if not 1 <= self.n_patches < np.inf:
-            raise InvalidInputError("n_patches must be finite and >= 1")
-        if not 0.0 <= self.min_gap < np.inf:
-            raise InvalidInputError("min_gap must be finite and >= 0")
         if not self.mode_weights:
             raise InvalidInputError("at least one mode weight is required")
         for idx, w in self.mode_weights.items():
@@ -63,16 +56,18 @@ class PlacementScan:
 
 @dataclass
 class PlacementResult:
-    """Scan rows of the chosen positions in ascending x_start, their total
-    objective, and the scan they were picked from."""
+    """Scan row of the chosen position and the scan it was picked from."""
 
-    rows: list[int]
-    objective: float
+    row: int
     scan: PlacementScan
 
     @property
     def positions(self) -> list[float]:
-        return [float(self.scan.x_starts[j]) for j in self.rows]
+        return [float(self.scan.x_starts[self.row])]
+
+    @property
+    def objective(self) -> float:
+        return float(self.scan.objective[self.row])
 
 
 def candidate_positions(problem: PlacementProblem) -> np.ndarray:
@@ -101,27 +96,7 @@ def scan_objective(problem: PlacementProblem) -> PlacementScan:
 
 
 def optimize_placement(problem: PlacementProblem) -> PlacementResult:
-    """Pick n_patches positions from the scan table.
-
-    A single patch is the exact argmax of the scan (smallest x_start on
-    ties). Multiple patches are selected greedily in descending objective
-    order, skipping candidates closer than patch length + min_gap to any
-    already chosen one.
-    """
+    """The exact argmax of the scan; on ties the first maximum, which is the
+    smallest x_start because the candidates ascend."""
     scan = scan_objective(problem)
-    order = np.lexsort((scan.x_starts, -scan.objective))
-    clearance = problem.patch.length + problem.min_gap
-    slack = 1e-9 * max(clearance, 1e-30)
-    chosen: list[int] = []
-    for idx in order:
-        if len(chosen) == problem.n_patches:
-            break
-        xc = scan.x_starts[idx]
-        if all(abs(xc - scan.x_starts[j]) >= clearance - slack for j in chosen):
-            chosen.append(int(idx))
-    if len(chosen) < problem.n_patches:
-        raise PlacementError(
-            f"only {len(chosen)} positions with pairwise clearance "
-            f"{clearance:g} m fit; {problem.n_patches} patches requested")
-    chosen.sort(key=lambda j: scan.x_starts[j])
-    return PlacementResult(chosen, float(np.sum(scan.objective[chosen])), scan)
+    return PlacementResult(int(np.argmax(scan.objective)), scan)

@@ -148,9 +148,11 @@ def test_config_errors(tmp_path, gripper_ini):
              r"got 0"),
             ("step_m = 0.1", "step_m = 0", r"\[analysis\] step_m must be positive"),
             ("step_m = 0.1", "step_m = 0.1\nn_patches = 0",
-             r"\[analysis\] n_patches must be >= 1"),
-            ("step_m = 0.1", "step_m = 0.1\nmin_gap_m = -0.01",
-             r"\[analysis\] min_gap_m must be >= 0"),
+             r"\[analysis\] n_patches: place picks one patch; scan.csv "
+             r"holds every candidate position"),
+            ("step_m = 0.1", "step_m = 0.1\nn_patches = 2",
+             r"\[analysis\] n_patches: place picks one patch; scan.csv "
+             r"holds every candidate position"),
             ("step_m = 0.1", "step_m = 0.1\nmode_weights = 0:1.0, 1:1.0",
              r"\[analysis\] mode_weights indices are 1-based"),
             ("step_m = 0.1", "step_m = 0.1\nmode_weights = 1:1, 5:1",
@@ -158,6 +160,8 @@ def test_config_errors(tmp_path, gripper_ini):
              r"\[structure\]"),
             ("step_m = 0.1", "step_m = 0.1\nmode_weights = 1:1.0, 2:-0.5",
              r"\[analysis\] mode_weights must be >= 0"),
+            ("step_m = 0.1", "step_m = 0.1\nmode_weights = 1:0, 2:0",
+             r"\[analysis\] mode_weights needs at least one positive weight"),
             ("step_m = 0.1", "step_m = 0.1\nmode_weights = 1:1.0, 2:1.0, 1:0.0",
              r"\[analysis\] mode_weights: entry '1:0.0' repeats mode 1"),
             ("step_m = 0.1", "step_m = 0.1\nmode_weights = 1:1.0, two:1.0",
@@ -496,6 +500,20 @@ def test_cli_place_scans_once(gripper_ini, tmp_path, monkeypatch):
     assert _run(["place", "--config", str(gripper_ini), "--out-dir",
                  str(tmp_path), "--quiet"]) == 0
     assert len(scans) == 1
+
+
+def test_cli_place_accepts_the_one_patch_keys(gripper_ini, tmp_path):
+    # INIs that spell out n_patches = 1 and a clearance keep working: the
+    # clearance is an ignored key and the outputs do not change.
+    shutil.copy(gripper_ini.parent / "gripper_shapes.csv", tmp_path)
+    ini = tmp_path / "keys.ini"
+    ini.write_text(gripper_ini.read_text() + "n_patches = 1\nmin_gap_m = 0.05\n")
+    for config, out in ((gripper_ini, "plain"), (ini, "keys")):
+        assert _run(["place", "--config", str(config), "--out-dir",
+                     str(tmp_path / out), "--quiet"]) == 0
+    for name in ("scan.csv", "placement.csv"):
+        assert ((tmp_path / "plain" / name).read_bytes()
+                == (tmp_path / "keys" / name).read_bytes())
 
 
 def test_cli_analyze_takes_band_from_config(gripper_ini, gripper_frf_csv,
