@@ -32,17 +32,29 @@ def _fmt(v) -> str:
     return f"{float(v):.9g}"
 
 
+# Rows formatted per ``%`` call: a few hundred kB of text at a time.
+_BLOCK = 4096
+
+
 def _write_csv(path: Path, header: list[str], rows,
                preamble: str = "") -> None:
     """Write rows of numbers under the header, each value as ``_fmt``
-    formats it, with one ``%`` format per row. A row shorter than the header
-    leaves its trailing fields empty."""
+    formats it. ``rows`` is a 2-D array or a list of tuples; each block of
+    up to ``_BLOCK`` rows is formatted by one ``%``. A tuple shorter than
+    the header leaves its trailing fields empty."""
     n = len(header)
-    row = ",".join(["%.9g"] * n) + "\n"
+    full = ",".join(["%.9g"] * n) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(preamble + ",".join(header) + "\n")
-        fh.writelines(row % r if len(r) == n else ",".join(["%.9g"] * len(r))
-                      % r + "," * (n - len(r)) + "\n" for r in rows)
+        for i in range(0, len(rows), _BLOCK):
+            block = rows[i:i + _BLOCK]
+            if isinstance(block, np.ndarray):
+                fmt, values = full * len(block), block.ravel().tolist()
+            else:
+                fmt = "".join(",".join(["%.9g"] * len(r)) + "," * (n - len(r))
+                              + "\n" for r in block)
+                values = [v for r in block for v in r]
+            fh.write(fmt % tuple(values))
 
 
 def write_state_space_csv(sys_: LinearSystem, path: Path) -> None:
@@ -93,9 +105,9 @@ def cmd_modes(args) -> int:
                 for k, m in zip(numbers, model.modes)])
     header = (["x_m"] + [f"phi{k}" for k in numbers]
               + [f"theta{k}" for k in numbers])
-    _write_csv(out / "shapes.csv", header, zip(*(
-        c.tolist() for c in [model.grid] + [m.phi for m in model.modes]
-        + [m.theta for m in model.modes])))
+    _write_csv(out / "shapes.csv", header, np.column_stack(
+        [model.grid] + [m.phi for m in model.modes]
+        + [m.theta for m in model.modes]))
     _say(args, f"{model.source} model, {model.n_modes} modes on "
                f"{model.grid.size} points over {_fmt(model.length)} m")
     for k, m in zip(numbers, model.modes):
@@ -142,15 +154,14 @@ def cmd_place(args) -> int:
     header = (["x_start_m", "objective"]
               + [f"K2_mode{k}" for k in range(1, model.n_modes + 1)])
     table = np.column_stack([scan.x_starts, scan.objective, scan.k2])
-    _write_csv(out / "scan.csv", header, map(tuple, table.tolist()))
-    _write_csv(out / "placement.csv", header,
-               map(tuple, table[[result.row]].tolist()))
+    _write_csv(out / "scan.csv", header, table)
+    _write_csv(out / "placement.csv", header, table[[result.row]])
     if model.source == SOURCE_MEASURED:
         _say(args, "note: unit-peak shapes, coupling values are comparative only")
     _say(args, f"scanned {scan.x_starts.size} candidates, step "
                f"{_fmt(problem.step)} m")
-    _say(args, f"  patch at x_start = {_fmt(result.positions[0])} m")
-    _say(args, f"total objective {_fmt(result.objective)}")
+    _say(args, f"patch at x_start = {_fmt(result.positions[0])} m, "
+               f"objective {_fmt(result.objective)}")
     _say(args, f"wrote {out / 'scan.csv'} and {out / 'placement.csv'}")
     return 0
 
@@ -203,8 +214,7 @@ def cmd_sweep(args) -> int:
         mag_db, phase = bode_table(resp)
         _write_csv(out / f"bode_{k + 1:02d}.csv",
                    ["freq_hz", "mag_db", "phase_deg"],
-                   zip(resp.freqs_hz.tolist(), mag_db.tolist(),
-                       phase.tolist()),
+                   np.column_stack([resp.freqs_hz, mag_db, phase]),
                    preamble=f"# gain = {_fmt(row.gain)}\n")
         e = row.estimate
         if e is None:

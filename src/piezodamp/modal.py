@@ -397,31 +397,33 @@ def _read_csv(path, check_header, min_rows: int):
 
     Blank and ``#`` lines are skipped; the first other line is the header
     and each later one holds one finite number per header field. One
-    ``np.loadtxt`` pass parses the rows; only if it fails is the file walked
-    again to name the first bad line, its column and token. Errors from
-    ``check_header`` come first, then the row count, then the bad line.
+    ``np.loadtxt`` pass parses the open file after the header. Only if it
+    refuses a line (a ``#`` or whitespace-only one, or a bad row) are the
+    filtered lines parsed again, and only if the numbers are still wrong is
+    the file walked to name the first bad line, its column and token.
+    Errors from ``check_header`` come first, then the row count, then the
+    bad line.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = _content_lines(fh)
-            first = next(lines, None)
+        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            first = next(_content_lines(fh), None)
             if first is None:
                 raise ParseError(f"{path}: no header line found")
             header = [t.strip() for t in first[1].split(",")]
             check_header(header)
             try:
-                with warnings.catch_warnings():
-                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    data = np.loadtxt((line for _, line in lines),
-                                      delimiter=",", comments=None, ndmin=2)
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
             except ValueError:  # a decoding error too; the walk meets it again
-                data = np.empty((0, 0))
+                try:
+                    data = np.loadtxt((line for _, line in _lines_after_header(fh)),
+                                      delimiter=",", comments=None, ndmin=2)
+                except ValueError:
+                    data = np.empty((0, 0))
             n_rows, error = len(data), None
             if data.shape[1] != len(header) or not np.all(np.isfinite(data)):
-                fh.seek(0)
-                lines = _content_lines(fh)
-                next(lines)
-                for n_rows, (line_no, line) in enumerate(lines, start=1):
+                for n_rows, (line_no, line) in enumerate(
+                        _lines_after_header(fh), start=1):
                     error = error or _row_error(line_no, line, header)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: cannot decode byte "
@@ -431,6 +433,14 @@ def _read_csv(path, check_header, min_rows: int):
     if error is not None:
         raise error
     return header, data
+
+
+def _lines_after_header(fh):
+    """``_content_lines`` of the file from its start, less the header."""
+    fh.seek(0)
+    lines = _content_lines(fh)
+    next(lines)
+    return lines
 
 
 def _content_lines(fh):

@@ -516,6 +516,14 @@ def test_cli_place_accepts_the_one_patch_keys(gripper_ini, tmp_path):
                 == (tmp_path / "keys" / name).read_bytes())
 
 
+def test_cli_place_reports_one_position(gripper_ini, tmp_path, capsys):
+    assert _run(["place", "--config", str(gripper_ini), "--out-dir",
+                 str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == "patch at x_start = 0 m, objective 0.000301705784"
+    assert len(lines) == 4
+
+
 def test_cli_analyze_takes_band_from_config(gripper_ini, gripper_frf_csv,
                                             tmp_path):
     # gripper.ini sets band_hz = 65, 90.

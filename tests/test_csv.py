@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import piezodamp as pd
-from piezodamp.cli import main
+from piezodamp import modal
+from piezodamp.cli import _BLOCK, _write_csv, main
 from piezodamp.errors import PiezodampError, ParseError
 from piezodamp.modal import _read_csv
 
@@ -117,6 +118,72 @@ def test_reader_matches_row_walk(tmp_path_factory, content, min_rows):
         assert new[1].startswith("line ") and "cannot parse" in new[1]
         token = new[1].split("cannot parse ")[1][1:-len("' as a number")]
         assert "_" in token or not token.isascii()
+
+
+@pytest.mark.parametrize("inserted, refused", [
+    (None, False), ("# note", True), ("   ", True), ("1_0,1,1", True),
+    ("5,nan,1", False), ("5,1", True)])
+def test_reader_matches_row_walk_past_the_first_chunk(tmp_path, monkeypatch,
+                                                       inserted, refused):
+    # A line that stops np.loadtxt deep in a long file: the reader reads the
+    # rest again and reaches the row walk's data or its error.
+    rows = [f"{i},{np.sin(i):.9g},{np.cos(i):.6g}" for i in range(60_000)]
+    if inserted is not None:
+        rows.insert(50_000, inserted)
+    path = tmp_path / "long.csv"
+    path.write_text("freq_hz,real,imag\n" + "\n".join(rows) + "\n")
+    sources = []
+    loadtxt = np.loadtxt
+
+    def recording_loadtxt(source, *args, **kwargs):
+        sources.append(type(source).__name__)
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(modal.np, "loadtxt", recording_loadtxt)
+    new = _outcome(_read_csv, path, _check_header, 2)
+    monkeypatch.undo()
+    assert new == _outcome(_row_walk, path, _check_header, 2, True)
+    if inserted in (None, "# note", "   "):
+        assert new[0] == "ok" and new[2] == (60_000, 3)
+    else:
+        assert new[1].startswith("line 50002")
+    # One C pass over the open file; the filtered pass only if it refuses a
+    # line (nan parses, and the walk names it).
+    assert sources == ["TextIOWrapper"] + ["generator"] * refused
+
+
+_SPECIAL_VALUES = st.sampled_from([
+    np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -1e-310,
+    2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308, 1.0,
+    0.1, 123456789.0, 1234567891.0, -2.5e-7])
+_VALUES = st.one_of(_SPECIAL_VALUES, st.floats(allow_nan=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(_VALUES, min_size=1, max_size=16),
+       n_rows=st.sampled_from([0, 1, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                               2 * _BLOCK + 3]),
+       width=st.integers(1, 6), tuples=st.booleans(),
+       preamble=st.sampled_from(["", "# gain = 1500\n"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_writer_matches_per_row_format(tmp_path_factory, values, n_rows,
+                                       width, tuples, preamble, seed):
+    # Blocks of rows formatted by one % give the bytes of one format per
+    # value; tuples shorter than the header leave their trailing fields empty.
+    rng = np.random.default_rng(seed)
+    table = np.array(values)[rng.integers(0, len(values), (n_rows, width))]
+    rows = table
+    if tuples:
+        widths = np.where(rng.random(n_rows) < 0.8, width,
+                          rng.integers(1, width + 1, n_rows))
+        rows = [tuple(r[:k]) for r, k in zip(table.tolist(), widths)]
+    header = [f"c{k}" for k in range(width)]
+    path = tmp_path_factory.getbasetemp() / "written.csv"
+    _write_csv(path, header, rows, preamble=preamble)
+    expected = preamble + ",".join(header) + "\n" + "".join(
+        ",".join("%.9g" % v for v in r) + "," * (width - len(r)) + "\n"
+        for r in (table.tolist() if not tuples else rows))
+    assert path.read_bytes() == expected.encode("utf-8")
 
 
 _PREFIXES = st.sampled_from([b"", b"freq_hz,real,imag\n",

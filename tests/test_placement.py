@@ -50,15 +50,6 @@ def test_scan_matches_per_position_coupling(unit_model, material, patch):
         assert scan.objective[i] == pytest.approx(expect, rel=1e-15)
 
 
-def test_single_patch_is_exact_argmax(unit_model, material, patch):
-    prob = _problem(unit_model, material, patch, step=0.025)
-    scan = pd.scan_objective(prob)
-    result = pd.optimize_placement(prob)
-    best = int(np.argmax(scan.objective))
-    assert result.positions == [float(scan.x_starts[best])]
-    assert result.objective == float(scan.objective[best])
-
-
 def test_tie_breaks_to_smallest_x(material):
     # Constant slope makes every candidate identical.
     x = np.linspace(0.0, 1.0, 21)
