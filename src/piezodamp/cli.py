@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ProjectConfig, load_config
+from .config import ProjectConfig, load_config, parse_band
 from .errors import (ConfigError, InvalidInputError, NumericalError,
                      PiezodampError)
 from .frf import (bode_table, find_peaks, gain_sweep, half_power_damping,
@@ -232,13 +232,7 @@ def cmd_analyze(args) -> int:
     frf = load_frf_csv(args.frf)
     cfg = load_config(args.config) if args.config else None
     if args.band:
-        try:
-            lo, hi = (float(t) for t in args.band.split(","))
-        except ValueError:  # not two numbers
-            lo = hi = np.nan
-        if not np.isfinite([lo, hi]).all():
-            raise InvalidInputError("--band must look like 'lo,hi' in Hz")
-        band = (lo, hi)
+        band = parse_band(args.band, "--band")
     elif cfg is not None:
         band = cfg.band_hz
     else:

@@ -17,10 +17,12 @@ Sections and keys:
                    mode_weights (optional "1:1.0,2:0.5", default all 1)
 
 Values are checked on load: numbers must be finite and files must exist. A
-rule that a library type or function states is checked by handing the values
-to it, and its error reads ``[section]: message``; the model's size limits
-and shapes file are checked so when a command builds it. Unknown keys are
-ignored, ``%`` is literal.
+rule that a library type or function states, the measured frequency and
+damping lists and the mode weights included, is checked by handing the values
+to it, and its error reads ``[section]: message``. The model's size limits,
+each mode's limits and the shapes file are checked so when a command builds
+it. ``parse_band`` reads band_hz and ``analyze --band`` alike. Unknown keys
+are ignored, ``%`` is literal.
 """
 
 from __future__ import annotations
@@ -35,9 +37,10 @@ from .errors import ConfigError, InvalidInputError
 from .frf import _check_gains, _check_prominence
 from .modal import (DEFAULT_DAMPING, SOURCE_ANALYTIC, SOURCE_FE,
                     SOURCE_MEASURED, BeamProperties, ModalModel,
-                    analytic_cantilever_modes, fe_beam_modes,
+                    _measured_lists, analytic_cantilever_modes, fe_beam_modes,
                     load_measured_modes)
 from .piezo import PatchGeometry, PiezoMaterial
+from .placement import _check_mode_weights
 from .ppf import PPFConfig
 
 _BUILDERS = {SOURCE_ANALYTIC: analytic_cantilever_modes,
@@ -92,9 +95,7 @@ def _float_list(sect, key: str, default=None) -> list[float]:
                 "a comma list of numbers", default)
 
 
-def _weights(sect, key: str) -> dict[int, float] | None:
-    if key not in sect:
-        return None
+def _weights(sect, key: str) -> dict[int, float]:
     out: dict[int, float] = {}
     for item in sect[key].split(","):
         item = item.strip()
@@ -111,9 +112,18 @@ def _weights(sect, key: str) -> dict[int, float] | None:
             raise ConfigError(
                 f"[{sect.name}] {key}: entry {item!r} repeats mode {mode}")
         out[mode] = weight
-    if not out:
-        raise ConfigError(f"[{sect.name}] {key} is empty")
     return out
+
+
+def parse_band(text: str, name: str) -> tuple[float, float]:
+    """The band ``'lo,hi'`` in Hz, finite with 0 < lo < hi; ``name`` is its key."""
+    try:
+        lo, hi = map(float, text.split(","))
+        if 0.0 < lo < hi < math.inf:
+            return lo, hi
+    except ValueError:  # not two numbers
+        pass
+    raise ConfigError(f"{name} must be 'lo,hi' in Hz with 0 < lo < hi")
 
 
 @dataclass
@@ -170,12 +180,8 @@ def load_config(path) -> ProjectConfig:
         if not os.path.isfile(shapes_file):
             raise ConfigError(f"shapes file {shapes_file} does not exist")
         freqs = _float_list(st, "frequencies_hz")
-        damping = None
-        if "damping" in st:
-            damping = _float_list(st, "damping")
-            if len(damping) != len(freqs):
-                raise ConfigError(
-                    "[structure] damping must list one value per frequency")
+        damping = _float_list(st, "damping") if "damping" in st else None
+        _checked("structure", _measured_lists, freqs, damping)
         smooth = _get(st, "smooth", lambda _: st.getboolean("smooth"),
                       "a boolean", False)
         structure = {"path": shapes_file, "frequencies_hz": freqs,
@@ -219,9 +225,7 @@ def load_config(path) -> ProjectConfig:
     _checked("ppf", _check_gains, gains)
 
     an = _section(cp, "analysis")
-    band = _float_list(an, "band_hz")
-    if len(band) != 2 or band[0] >= band[1] or band[0] <= 0.0:
-        raise ConfigError("[analysis] band_hz must be 'lo,hi' with 0 < lo < hi")
+    band = parse_band(_get(an, "band_hz", str, "text"), "[analysis] band_hz")
     n_freq = _int(an, "n_freq", 2001)
     if n_freq < 2:
         raise ConfigError("[analysis] n_freq must be >= 2")
@@ -235,20 +239,9 @@ def load_config(path) -> ProjectConfig:
     if _int(an, "n_patches", 1) != 1:
         raise ConfigError("[analysis] n_patches: place picks one patch; "
                           "scan.csv holds every candidate position")
-    weights = (_weights(an, "mode_weights")
-               or {i: 1.0 for i in range(1, n_modes + 1)})
-    for idx, w in weights.items():
-        if idx < 1:
-            raise ConfigError("[analysis] mode_weights indices are 1-based")
-        if idx > n_modes:
-            raise ConfigError(f"[analysis] mode_weights index {idx} is above "
-                              f"the {n_modes} modes of [structure]")
-        if w < 0.0:
-            raise ConfigError("[analysis] mode_weights must be >= 0")
-    if not any(weights.values()):
-        raise ConfigError(
-            "[analysis] mode_weights needs at least one positive weight")
+    weights = (_weights(an, "mode_weights") if "mode_weights" in an
+               else {i: 1.0 for i in range(1, n_modes + 1)})
+    _checked("analysis", _check_mode_weights, weights, n_modes)
 
     return ProjectConfig(source, structure, material, patch, ppf_freq,
-                         ppf_zeta, gains, (band[0], band[1]), n_freq, min_prom,
-                         step, weights)
+                         ppf_zeta, gains, band, n_freq, min_prom, step, weights)

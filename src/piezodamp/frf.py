@@ -355,19 +355,19 @@ def gain_sweep(plant: ModalPlant, cfg: PPFConfig, gains, freqs_hz=None,
             rows.append(SweepRow(g, None, None))
             continue
         resp = closed_loop_frf(plant, loop, freqs_hz)
+        estimate = None
         try:
             peaks = find_peaks(resp, (resp.freqs_hz[0], resp.freqs_hz[-1]),
                                min_prominence_db)
             if not peaks:
-                raise InvalidInputError(
-                    "no resonance peak found; widen the band or lower the "
-                    "prominence threshold")
-            mag = np.abs(resp.values)
-            best = max(peaks, key=lambda k: mag[k])
-            estimate = half_power_damping(resp, best)
+                log.warning("gain %g: no half-power estimate: no resonance peak "
+                            "found; widen the band or lower the prominence "
+                            "threshold", g)
+            else:
+                mag = np.abs(resp.values)
+                estimate = half_power_damping(resp, max(peaks, key=lambda k: mag[k]))
         except (InvalidInputError, BandwidthError) as exc:
             log.warning("gain %g: no half-power estimate: %s", g, exc)
-            estimate = None
         rows.append(SweepRow(g, estimate, resp))
     return rows
 

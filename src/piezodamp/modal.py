@@ -470,32 +470,39 @@ def _row_error(line_no: int, line: str, header: list[str]):
     return None
 
 
+def _measured_lists(frequencies_hz, damping=None):
+    """Float lists of the frequencies (Hz), at least one, each positive and
+    listed once, and of their damping ratios, one per frequency."""
+    freqs = [float(f) for f in np.atleast_1d(frequencies_hz)]
+    if not freqs or any(f <= 0.0 for f in freqs):
+        raise InvalidInputError("frequencies_hz must list positive frequencies")
+    for k, f in enumerate(freqs):
+        if f in freqs[:k]:
+            raise InvalidInputError(f"measured frequency {f:g} Hz is listed twice")
+    if damping is None:
+        return freqs, [DEFAULT_DAMPING] * len(freqs)
+    zetas = [float(z) for z in np.atleast_1d(damping)]
+    if len(zetas) != len(freqs):
+        raise InvalidInputError("damping must list one ratio per frequency: "
+                                f"{len(zetas)} for {len(freqs)}")
+    return freqs, zetas
+
+
 def load_measured_modes(path, frequencies_hz, damping=None,
                         smooth: bool = False) -> ModalModel:
     """Read mode shapes measured along a line from a CSV file.
 
     The file holds a header ``x_m,mode1,mode2,...`` followed by at least 8
-    rows; blank and ``#`` lines are skipped. One natural frequency (Hz) per
-    shape column must be supplied, with optional per-mode damping ratios
-    (default 0.005). Shapes are scaled to unit peak and modal mass is pinned
-    to 1, so coupling factors computed from this model are comparative only.
-    ``smooth`` applies a 3-point moving average before normalization.
+    rows; blank and ``#`` lines are skipped. ``frequencies_hz`` gives one
+    positive natural frequency (Hz) per shape column, none twice, and
+    ``damping`` optional per-mode ratios (default 0.005); both are checked
+    before the file is read. Shapes are scaled to unit peak and modal mass is
+    pinned to 1, so coupling factors computed from this model are comparative
+    only. ``smooth`` applies a 3-point moving average before normalization.
     Slopes are finite differences of the normalized shapes: central in the
     interior and one-sided second order at the ends, exact for quadratics.
     """
-    freqs = [float(f) for f in np.atleast_1d(frequencies_hz)]
-    if any(f <= 0.0 for f in freqs):
-        raise InvalidInputError("measured frequencies must be positive")
-    for k, f in enumerate(freqs):
-        if f in freqs[:k]:
-            raise InvalidInputError(f"measured frequency {f:g} Hz is listed twice")
-    if damping is None:
-        zetas = [DEFAULT_DAMPING] * len(freqs)
-    else:
-        zetas = [float(z) for z in np.atleast_1d(damping)]
-        if len(zetas) != len(freqs):
-            raise InvalidInputError(
-                f"{len(zetas)} damping ratios given for {len(freqs)} frequencies")
+    freqs, zetas = _measured_lists(frequencies_hz, damping)
 
     def check_header(header):
         if len(header) < 2 or header[0] != "x_m":

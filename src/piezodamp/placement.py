@@ -30,15 +30,20 @@ class PlacementProblem:
     def __post_init__(self):
         if not 0.0 < self.step < np.inf:
             raise InvalidInputError("step must be positive and finite")
-        if not self.mode_weights:
-            raise InvalidInputError("at least one mode weight is required")
-        for idx, w in self.mode_weights.items():
-            self.model.mode(idx)
-            if not 0.0 <= w < np.inf:
-                raise InvalidInputError(
-                    f"weight of mode {idx} must be finite and >= 0")
-        if not any(w > 0.0 for w in self.mode_weights.values()):
-            raise InvalidInputError("at least one mode weight must be positive")
+        _check_mode_weights(self.mode_weights, self.model.n_modes)
+
+
+def _check_mode_weights(mode_weights: dict, n_modes: int) -> None:
+    """Indices in 1..n_modes, weights finite and >= 0, one of them positive."""
+    for idx, w in mode_weights.items():
+        if idx not in range(1, n_modes + 1):
+            raise InvalidInputError(
+                f"mode_weights index {idx} is outside the modes 1..{n_modes}")
+        if not 0.0 <= w < np.inf:
+            raise InvalidInputError(
+                f"mode_weights: weight of mode {idx} must be finite and >= 0")
+    if not any(w > 0.0 for w in mode_weights.values()):
+        raise InvalidInputError("mode_weights needs at least one positive weight")
 
 
 @dataclass

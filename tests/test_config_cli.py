@@ -112,7 +112,6 @@ def test_config_errors(tmp_path, gripper_ini):
 
     for old, new, where in [
             ("freq_hz = 3.5", "freq_hz = nan", r"\[ppf\] freq_hz"),
-            ("band_hz = 0.4, 0.7", "band_hz = nan, 0.7", r"\[analysis\] band_hz"),
             ("gains = 1, 2", "gains = 1, inf", r"\[ppf\] gains"),
             ("EI_Nm2 = 1.0", "EI_Nm2 = -inf", r"\[structure\] EI_Nm2"),
             ("step_m = 0.1", "step_m = 0.1\nmode_weights = 1:nan, 2:1.0",
@@ -127,6 +126,10 @@ def test_config_errors(tmp_path, gripper_ini):
             ("n_modes = 2\n", "", r"\[structure\] is missing key 'n_modes'"),
             ("band_hz = 0.4, 0.7\n", "",
              r"\[analysis\] is missing key 'band_hz'"),
+            ("band_hz = 0.4, 0.7", "band_hz = nan, 0.7",
+             r"\[analysis\] band_hz must be 'lo,hi' in Hz with 0 < lo < hi"),
+            ("band_hz = 0.4, 0.7", "band_hz = 0, 0.7",
+             r"\[analysis\] band_hz must be 'lo,hi' in Hz with 0 < lo < hi"),
             ("length_m = 1.0", "length_m = -1.0",
              r"\[structure\]: beam length must be positive"),
             ("s11E_perPa = 1.6e-11", "s11E_perPa = -1.6e-11",
@@ -154,14 +157,16 @@ def test_config_errors(tmp_path, gripper_ini):
              r"\[analysis\] n_patches: place picks one patch; scan.csv "
              r"holds every candidate position"),
             ("step_m = 0.1", "step_m = 0.1\nmode_weights = 0:1.0, 1:1.0",
-             r"\[analysis\] mode_weights indices are 1-based"),
+             r"\[analysis\]: mode_weights index 0 is outside the modes 1\.\.2"),
             ("step_m = 0.1", "step_m = 0.1\nmode_weights = 1:1, 5:1",
-             r"\[analysis\] mode_weights index 5 is above the 2 modes of "
-             r"\[structure\]"),
+             r"\[analysis\]: mode_weights index 5 is outside the modes 1\.\.2"),
             ("step_m = 0.1", "step_m = 0.1\nmode_weights = 1:1.0, 2:-0.5",
-             r"\[analysis\] mode_weights must be >= 0"),
+             r"\[analysis\]: mode_weights: weight of mode 2 must be finite "
+             r"and >= 0"),
             ("step_m = 0.1", "step_m = 0.1\nmode_weights = 1:0, 2:0",
-             r"\[analysis\] mode_weights needs at least one positive weight"),
+             r"\[analysis\]: mode_weights needs at least one positive weight"),
+            ("step_m = 0.1", "step_m = 0.1\nmode_weights = ,",
+             r"\[analysis\]: mode_weights needs at least one positive weight"),
             ("step_m = 0.1", "step_m = 0.1\nmode_weights = 1:1.0, 2:1.0, 1:0.0",
              r"\[analysis\] mode_weights: entry '1:0.0' repeats mode 1"),
             ("step_m = 0.1", "step_m = 0.1\nmode_weights = 1:1.0, two:1.0",
@@ -241,17 +246,50 @@ def test_load_config_with_one_arbitrary_value_raises_only_toolkit_errors(
 _GAINS = st.lists(st.floats() | st.sampled_from([0.0, 1.0, 1e308]),
                   min_size=1, max_size=5)
 _PROMINENCE = st.floats() | st.sampled_from([0.0, 1e-300, 1.0])
+_WEIGHTS = st.none() | st.dictionaries(
+    st.integers(-1, 4), st.floats() | st.sampled_from([0.0, -0.0, 1.0]),
+    max_size=4)
+# Whole-number frequencies and damping ratios below 1: values whose modes a
+# ModalModel holds, so that only the list rule can refuse them. A mode's own
+# limits (an overflowing omega squared, a ratio outside [0, 1)) are checked
+# when a command builds the model.
+_FREQUENCIES = st.lists(st.integers(-100, 1000).map(float)
+                        | st.sampled_from([10.0, float("nan"), float("inf")]),
+                        max_size=3)
+_DAMPING = st.none() | st.lists(
+    st.floats(0.0, 0.99) | st.sampled_from([float("nan"), float("inf")]),
+    max_size=3)
 
 
-@settings(max_examples=200, deadline=None)
-@given(gains=_GAINS, prominence=_PROMINENCE)
+@settings(max_examples=300, deadline=None)
+@given(part=st.sampled_from(["gains", "prominence", "modes"]), gains=_GAINS,
+       prominence=_PROMINENCE, weights=_WEIGHTS, frequencies=_FREQUENCIES,
+       damping=_DAMPING)
 def test_load_config_refuses_what_gain_sweep_and_find_peaks_refuse(
-        tmp_path_factory, gains, prominence):
-    # One rule set: the INI's [ppf] gains and [analysis] min_prominence_db
-    # are refused exactly when the library functions that use them refuse
-    # them.
+        tmp_path_factory, part, gains, prominence, weights, frequencies,
+        damping):
+    # One rule set: the INI's [ppf] gains, [analysis] min_prominence_db and
+    # mode_weights and the measured [structure] lists are refused exactly
+    # when the library functions and types that use them refuse them. One
+    # part is drawn and the others are valid, so each rule shows on its own;
+    # the mode weights are drawn with the lists that set the mode count.
+    if part != "gains":
+        gains = [1.0, 2.0]
+    if part != "prominence":
+        prominence = 1.0
+    if part != "modes":
+        weights, frequencies, damping = None, [10.0, 20.0], None
+    root = tmp_path_factory.mktemp("rules")
+    n_modes = len(frequencies)
+    x = np.linspace(0.0, 1.0, 9)
+    np.savetxt(root / "shapes.csv",
+               np.column_stack([x] + [(k + 1) * x * x for k in range(n_modes)]),
+               delimiter=",", comments="",
+               header=",".join(["x_m"] + [f"mode{k + 1}" for k in range(n_modes)]))
     plant = pd.ModalPlant([10.0], [0.05], [1.0])
     frf = pd.FRF([1.0, 2.0, 3.0], [1.0, 2.0, 1.0])
+    material = pd.PiezoMaterial(-1.8e-10, 1.6e-11, 1.6e-8)
+    patch = pd.PatchGeometry.on_host(0.1, 0.02, 0.0005, 0.002)
     library_refuses = False
     try:
         pd.gain_sweep(plant, pd.PPFConfig(10.0, 0.3), gains,
@@ -262,8 +300,28 @@ def test_load_config_refuses_what_gain_sweep_and_find_peaks_refuse(
         pd.find_peaks(frf, (1.0, 3.0), prominence)
     except InvalidInputError:
         library_refuses = True
-    path = _minimal_ini(tmp_path_factory.mktemp("rules"),
-                        extra=f"min_prominence_db = {prominence!r}\n")
+    try:
+        pd.load_measured_modes(root / "shapes.csv", frequencies, damping)
+    except InvalidInputError:
+        library_refuses = True
+    if n_modes:
+        model = pd.load_measured_modes(root / "shapes.csv",
+                                       range(1, n_modes + 1))
+        default = {i: 1.0 for i in range(1, n_modes + 1)}  # the INI's
+        try:
+            pd.PlacementProblem(model, patch, material,
+                                default if weights is None else weights, 0.1)
+        except InvalidInputError:
+            library_refuses = True
+    structure = ("[structure]\nsource = measured\nshapes_file = shapes.csv\n"
+                 "frequencies_hz = " + ", ".join(map(repr, frequencies)) + "\n")
+    if damping is not None:
+        structure += "damping = " + ", ".join(map(repr, damping)) + "\n"
+    extra = f"min_prominence_db = {prominence!r}\n"
+    if weights is not None:
+        extra += "mode_weights = " + ", ".join(
+            f"{k}:{w!r}" for k, w in weights.items()) + "\n"
+    path = _minimal_ini(root, structure=structure, extra=extra)
     path.write_text(path.read_text().replace(
         "gains = 1, 2", "gains = " + ", ".join(map(repr, gains))))
     try:
@@ -566,6 +624,28 @@ def test_cli_names_a_repeated_measured_frequency(gripper_ini, tmp_path,
         "error: [structure]: measured frequency 76 Hz is listed twice\n")
 
 
+@pytest.mark.parametrize("frequencies, message", [
+    ("58.0, 58.0", "measured frequency 58 Hz is listed twice"),
+    ("58.0, -76.0", "frequencies_hz must list positive frequencies"),
+    (",", "frequencies_hz must list positive frequencies"),
+    ("58.0", "damping must list one ratio per frequency: 2 for 1"),
+])
+def test_cli_analyze_refuses_measured_lists_on_load(
+        gripper_ini, gripper_frf_csv, tmp_path, capsys, frequencies, message):
+    # analyze builds no model, so only a check on load can refuse these.
+    for name in ("gripper.ini", "gripper_shapes.csv"):
+        shutil.copy(gripper_ini.parent / name, tmp_path / name)
+    ini = tmp_path / "gripper.ini"
+    text = ini.read_text()
+    assert "frequencies_hz = 58.0, 76.0\n" in text
+    ini.write_text(text.replace("frequencies_hz = 58.0, 76.0",
+                                "frequencies_hz = " + frequencies))
+    assert _run(["analyze", "--config", str(ini), "--frf",
+                 str(gripper_frf_csv), "--out-dir", str(tmp_path / "out"),
+                 "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: [structure]: {message}\n"
+
+
 def test_python_m_piezodamp_exits_like_the_cli():
     src = Path(pd.__file__).resolve().parent.parent
     env = dict(os.environ)
@@ -686,12 +766,14 @@ def test_cli_exit_code_data_error(gripper_frf_csv, tmp_path, capsys):
     assert code == 1
     capsys.readouterr()
 
-    for band in ("50,x", "nan,90", "50,inf", "50,70,90"):
+    # The rule of [analysis] band_hz, with 0 < lo < hi.
+    for band in ("50,x", "nan,90", "50,inf", "50,70,90", "0,90",
+                 "90,50", "50,50"):
         code = _run(["analyze", "--frf", str(gripper_frf_csv),
                      "--band", band, "--out-dir", str(tmp_path)])
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: --band must look like 'lo,hi' in Hz\n"), band
+            "error: --band must be 'lo,hi' in Hz with 0 < lo < hi\n"), band
 
     # A threshold at or below 0 dB would count every ripple as a peak.
     for prominence in ("0", "-1", "nan", "inf"):

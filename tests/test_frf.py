@@ -1,3 +1,4 @@
+import logging
 import re
 from dataclasses import replace
 
@@ -540,6 +541,19 @@ def test_gain_sweep_validation():
         with pytest.raises(InvalidInputError,
                            match="min_prominence_db must be positive"):
             pd.gain_sweep(plant, cfg, [1.0], min_prominence_db=prominence)
+
+
+def test_gain_sweep_logs_a_response_without_peaks(caplog):
+    # A threshold above every peak's prominence leaves a stable row without
+    # an estimate and logs why, once.
+    plant = _sdof(75.0, 0.01)
+    cfg = pd.PPFConfig(2.0 * np.pi * 76.7, 0.3)
+    with caplog.at_level(logging.WARNING, logger="piezodamp"):
+        rows = pd.gain_sweep(plant, cfg, [1.0], min_prominence_db=500.0)
+    assert rows[0].stable and rows[0].estimate is None
+    assert [r.getMessage() for r in caplog.records] == [
+        "gain 1: no half-power estimate: no resonance peak found; widen the "
+        "band or lower the prominence threshold"]
 
 
 def test_gain_sweep_targets_mode_nearest_filter():

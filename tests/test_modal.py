@@ -463,10 +463,14 @@ def test_load_measured_argument_errors(tmp_path):
         f"{v / 10},{v}" for v in range(8)) + "\n")
     with pytest.raises(InvalidInputError, match="columns"):
         pd.load_measured_modes(f, [3.0, 4.0])
-    with pytest.raises(InvalidInputError, match="damping"):
+    with pytest.raises(InvalidInputError, match="^damping must list one ratio "
+                                                "per frequency: 2 for 1$"):
         pd.load_measured_modes(f, [3.0], damping=[0.01, 0.02])
-    with pytest.raises(InvalidInputError, match="positive"):
-        pd.load_measured_modes(f, [-3.0])
+    # The list rule runs before the file is read.
+    for freqs in ([-3.0], [], [0.0, 3.0]):
+        with pytest.raises(InvalidInputError,
+                           match="^frequencies_hz must list positive frequencies$"):
+            pd.load_measured_modes(tmp_path / "absent.csv", freqs)
 
 
 def test_load_measured_names_a_repeated_frequency(tmp_path):

@@ -97,19 +97,25 @@ def test_placement_is_first_argmax_of_scan(unit_beam, material, data, n_modes,
 def test_problem_validation(unit_model, material, patch):
     with pytest.raises(InvalidInputError, match="step"):
         pd.PlacementProblem(unit_model, patch, material, {1: 1.0}, 0.0)
-    with pytest.raises(InvalidInputError, match="weight"):
-        pd.PlacementProblem(unit_model, patch, material, {}, 0.1)
-    with pytest.raises(InvalidInputError, match="index"):
-        pd.PlacementProblem(unit_model, patch, material, {9: 1.0}, 0.1)
-    with pytest.raises(InvalidInputError, match=">= 0"):
+    # The messages name the parameter, which shares the INI key's name.
+    for weights in ({}, {1: 0.0}):
+        with pytest.raises(InvalidInputError, match="^mode_weights needs at "
+                                                    "least one positive weight$"):
+            pd.PlacementProblem(unit_model, patch, material, weights, 0.1)
+    for idx in (0, 9):
+        with pytest.raises(InvalidInputError,
+                           match=f"^mode_weights index {idx} is outside the "
+                                 f"modes 1\\.\\.{unit_model.n_modes}$"):
+            pd.PlacementProblem(unit_model, patch, material, {idx: 1.0}, 0.1)
+    with pytest.raises(InvalidInputError, match="^mode_weights: weight of mode "
+                                                "1 must be finite and >= 0$"):
         pd.PlacementProblem(unit_model, patch, material, {1: -1.0}, 0.1)
-    with pytest.raises(InvalidInputError, match="positive"):
-        pd.PlacementProblem(unit_model, patch, material, {1: 0.0}, 0.1)
     # Non-finite values fail the same checks instead of reaching the scan.
     for bad in (np.nan, np.inf):
         with pytest.raises(InvalidInputError, match="step"):
             pd.PlacementProblem(unit_model, patch, material, {1: 1.0}, bad)
-        with pytest.raises(InvalidInputError, match="weight of mode 2"):
+        with pytest.raises(InvalidInputError,
+                           match="^mode_weights: weight of mode 2"):
             pd.PlacementProblem(unit_model, patch, material,
                                 {1: 1.0, 2: bad}, 0.1)
 
