@@ -18,11 +18,12 @@ Sections and keys:
 
 Values are checked on load: numbers must be finite and files must exist. A
 rule that a library type or function states, the measured frequency and
-damping lists and the mode weights included, is checked by handing the values
-to it, and its error reads ``[section]: message``. The model's size limits,
-each mode's limits and the shapes file are checked so when a command builds
-it. ``parse_band`` reads band_hz and ``analyze --band`` alike. Unknown keys
-are ignored, ``%`` is literal.
+damping lists, the mode count, n_freq, step_m and the mode weights included,
+is checked by handing the values to it, and its error reads
+``[section]: message``. The model's size limits, each mode's limits and the
+shapes file are checked so when a command builds it. ``parse_band`` reads
+band_hz and ``analyze --band`` alike. Unknown keys are ignored, ``%`` is
+literal.
 """
 
 from __future__ import annotations
@@ -34,13 +35,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, InvalidInputError
-from .frf import _check_gains, _check_prominence
+from .frf import _check_gains, _check_point_count, _check_prominence
 from .modal import (DEFAULT_DAMPING, SOURCE_ANALYTIC, SOURCE_FE,
                     SOURCE_MEASURED, BeamProperties, ModalModel,
-                    _measured_lists, analytic_cantilever_modes, fe_beam_modes,
+                    _check_mode_count, _measured_lists,
+                    analytic_cantilever_modes, fe_beam_modes,
                     load_measured_modes)
 from .piezo import PatchGeometry, PiezoMaterial
-from .placement import _check_mode_weights
+from .placement import _check_mode_weights, _check_step
 from .ppf import PPFConfig
 
 _BUILDERS = {SOURCE_ANALYTIC: analytic_cantilever_modes,
@@ -193,8 +195,7 @@ def load_config(path) -> ProjectConfig:
                          _float(st, "mass_per_length_kgpm"),
                          _float(st, "damping", DEFAULT_DAMPING))
         n_modes = _int(st, "n_modes")
-        if n_modes < 1:
-            raise ConfigError("[structure] n_modes must be >= 1")
+        _checked("structure", _check_mode_count, n_modes)
         # Both sizes are checked on load; the source's builder takes one.
         sizes = {"n_grid": _int(st, "n_grid", 201),
                  "n_elements": _int(st, "n_elements", 64)}
@@ -227,13 +228,12 @@ def load_config(path) -> ProjectConfig:
     an = _section(cp, "analysis")
     band = parse_band(_get(an, "band_hz", str, "text"), "[analysis] band_hz")
     n_freq = _int(an, "n_freq", 2001)
-    if n_freq < 2:
-        raise ConfigError("[analysis] n_freq must be >= 2")
+    _checked("analysis", _check_point_count, n_freq)
     min_prom = _float(an, "min_prominence_db", 1.0)
     _checked("analysis", _check_prominence, min_prom)
     step = _float(an, "step_m", 0.0)
-    if "step_m" in an and step <= 0.0:
-        raise ConfigError("[analysis] step_m must be positive")
+    if "step_m" in an:
+        _checked("analysis", _check_step, step)
     # Refused rather than ignored like other unknown keys, so an INI that
     # asks for several patches does not silently get one.
     if _int(an, "n_patches", 1) != 1:

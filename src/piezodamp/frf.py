@@ -87,10 +87,15 @@ def closed_loop_frf(plant: ModalPlant, cfg: PPFConfig, freqs_hz) -> FRF:
     return FRF(f, H)
 
 
+def _check_point_count(n: int) -> None:
+    """A frequency grid needs two points, so it spans a band."""
+    if n < 2:
+        raise InvalidInputError("need at least two frequency points")
+
+
 def _grid(freqs_hz) -> np.ndarray:
     f = np.asarray(freqs_hz, dtype=float)
-    if f.ndim != 1 or f.size < 2:
-        raise InvalidInputError("need at least two frequency points")
+    _check_point_count(f.size if f.ndim == 1 else 0)
     if not (0.0 < f[0] and np.all(np.diff(f) > 0.0) and f[-1] < np.inf):
         raise InvalidInputError("frequencies must be positive, finite and strictly increasing")
     return f

@@ -28,9 +28,14 @@ class PlacementProblem:
     step: float
 
     def __post_init__(self):
-        if not 0.0 < self.step < np.inf:
-            raise InvalidInputError("step must be positive and finite")
+        _check_step(self.step)
         _check_mode_weights(self.mode_weights, self.model.n_modes)
+
+
+def _check_step(step: float) -> None:
+    """The candidate spacing is positive and finite."""
+    if not 0.0 < step < np.inf:
+        raise InvalidInputError("step must be positive and finite")
 
 
 def _check_mode_weights(mode_weights: dict, n_modes: int) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePlantError, InvalidInputError, NumericalError
-from .modal import ModalModel, TWO_PI
+from .modal import ModalModel, TWO_PI, _check_damping
 from .piezo import PatchGeometry, delta_thetas
 
 
@@ -69,8 +69,7 @@ class ModalPlant:
             raise InvalidInputError("plant needs at least one mode")
         if not np.all((0.0 < self.omegas) & (self.omegas < np.inf)):
             raise InvalidInputError("plant frequencies must be positive and finite")
-        if not np.all((0.0 <= self.zetas) & (self.zetas < 1.0)):
-            raise InvalidInputError("plant damping ratios must lie in [0, 1)")
+        _check_damping(self.zetas, "plant damping ratios")
         if not np.all(np.isfinite(self.b)):
             raise InvalidInputError("influence coefficients must be finite")
 

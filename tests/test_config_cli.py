@@ -136,7 +136,9 @@ def test_config_errors(tmp_path, gripper_ini):
              r"\[material\]: s11E must be positive"),
             ("width_m = 0.02", "width_m = 0",
              r"\[patch\]: patch length, width and thickness must be positive"),
-            ("n_modes = 2", "n_modes = 0", r"\[structure\] n_modes must be >= 1"),
+            ("n_modes = 2", "n_modes = 0", r"\[structure\]: n_modes must be >= 1"),
+            ("n_modes = 2", "n_modes = 2\ndamping = 1.0",
+             r"\[structure\]: structural damping must lie in \[0, 1\)"),
             ("freq_hz = 3.5", "freq_hz = 0",
              r"\[ppf\]: filter frequency must be positive and finite"),
             # Finite in Hz, but not in rad/s.
@@ -145,11 +147,12 @@ def test_config_errors(tmp_path, gripper_ini):
             ("gains = 1, 2", "gains = -1, 2",
              r"\[ppf\]: gains must be finite and >= 0"),
             ("step_m = 0.1", "step_m = 0.1\nn_freq = 1",
-             r"\[analysis\] n_freq must be >= 2"),
+             r"\[analysis\]: need at least two frequency points"),
             ("step_m = 0.1", "step_m = 0.1\nmin_prominence_db = 0",
              r"\[analysis\]: min_prominence_db must be positive and finite, "
              r"got 0"),
-            ("step_m = 0.1", "step_m = 0", r"\[analysis\] step_m must be positive"),
+            ("step_m = 0.1", "step_m = 0",
+             r"\[analysis\]: step must be positive and finite"),
             ("step_m = 0.1", "step_m = 0.1\nn_patches = 0",
              r"\[analysis\] n_patches: place picks one patch; scan.csv "
              r"holds every candidate position"),
@@ -190,6 +193,11 @@ def test_config_errors(tmp_path, gripper_ini):
                         + "shapes_file = shapes.csv\nsmooth = maybe\n")
     with pytest.raises(ConfigError,
                        match=r"\[structure\] smooth = 'maybe' is not a boolean"):
+        pd.load_config(path)
+    path = _minimal_ini(tmp_path, structure=measured
+                        + "shapes_file = shapes.csv\ndamping = 2.0\n")
+    with pytest.raises(ConfigError, match=r"^\[structure\]: damping ratios must "
+                                          r"lie in \[0, 1\)$"):
         pd.load_config(path)
 
 
@@ -249,15 +257,16 @@ _PROMINENCE = st.floats() | st.sampled_from([0.0, 1e-300, 1.0])
 _WEIGHTS = st.none() | st.dictionaries(
     st.integers(-1, 4), st.floats() | st.sampled_from([0.0, -0.0, 1.0]),
     max_size=4)
-# Whole-number frequencies and damping ratios below 1: values whose modes a
-# ModalModel holds, so that only the list rule can refuse them. A mode's own
-# limits (an overflowing omega squared, a ratio outside [0, 1)) are checked
-# when a command builds the model.
+# Whole-number frequencies: values whose modes a ModalModel holds, so that
+# only the list rule can refuse them. A mode's own limit on an overflowing
+# omega squared is checked when a command builds the model. Damping ratios
+# are drawn on both sides of [0, 1), a rule of the lists.
 _FREQUENCIES = st.lists(st.integers(-100, 1000).map(float)
                         | st.sampled_from([10.0, float("nan"), float("inf")]),
                         max_size=3)
 _DAMPING = st.none() | st.lists(
-    st.floats(0.0, 0.99) | st.sampled_from([float("nan"), float("inf")]),
+    st.floats(-0.5, 1.5) | st.sampled_from([0.0, 1.0, float("nan"),
+                                            float("inf")]),
     max_size=3)
 
 
@@ -644,6 +653,22 @@ def test_cli_analyze_refuses_measured_lists_on_load(
                  str(gripper_frf_csv), "--out-dir", str(tmp_path / "out"),
                  "--quiet"]) == 1
     assert capsys.readouterr().err == f"error: [structure]: {message}\n"
+
+
+def test_cli_analyze_refuses_a_damping_ratio_outside_0_1_on_load(
+        gripper_ini, gripper_frf_csv, tmp_path, capsys):
+    # The same rule and message as modes, which builds the model.
+    for name in ("gripper.ini", "gripper_shapes.csv"):
+        shutil.copy(gripper_ini.parent / name, tmp_path / name)
+    ini = tmp_path / "gripper.ini"
+    text = ini.read_text()
+    assert "damping = 0.01, 0.01\n" in text
+    ini.write_text(text.replace("damping = 0.01, 0.01", "damping = 2.0, 2.0"))
+    for argv in (["analyze", "--frf", str(gripper_frf_csv)], ["modes"]):
+        assert _run(argv + ["--config", str(ini), "--out-dir",
+                            str(tmp_path / "out"), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            "error: [structure]: damping ratios must lie in [0, 1)\n")
 
 
 def test_python_m_piezodamp_exits_like_the_cli():

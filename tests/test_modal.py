@@ -1,10 +1,14 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 from scipy.optimize import brentq
@@ -297,6 +301,81 @@ def test_fe_modes_match_dense_eigensolve(props, n_el, data):
     assert np.all(np.abs(Phi[0::2] - V[0::2]) <= 5e-6 * peak)
     np.testing.assert_allclose(Phi.T @ Mf @ Phi, np.eye(n_modes), rtol=0,
                                atol=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_el=st.integers(4, 60), n_modes=st.integers(1, 60),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n_el=60, n_modes=60, seed=0)
+@example(n_el=60, n_modes=55, seed=0)
+@example(n_el=60, n_modes=26, seed=0)
+@example(n_el=60, n_modes=27, seed=0)
+@example(n_el=4, n_modes=1, seed=0)
+def test_subspace_iteration_from_either_start_matches_scipy(n_el, n_modes,
+                                                            seed):
+    # The closed-form start and a random orthonormal one must reach the same
+    # eigenpairs. The examples put p at n_dof (60) or near it (55), and on
+    # either side of p = n_el (26, 27).
+    assume(n_modes <= n_el)
+    n_dof = 2 * n_el
+    p = min(n_dof, 2 * n_modes + 8)
+    # Unit elements at EI = 1 and rhoA = 420: the scaled DOFs of the solve,
+    # in which G = 6 K^-1 and M is the integer mass.
+    _, me = pd.modal.beam_element_matrices(1.0, 420.0, 1.0)
+    K, M = pd.assemble_beam_matrices(pd.BeamProperties(n_el, 1.0, 420.0), n_el)
+    Kf, Mf = K[2:, 2:], M[2:, 2:]
+    lams, V = scipy.linalg.eigh(Mf, Kf,
+                                subset_by_index=(n_dof - n_modes, n_dof - 1))
+    lams, V = lams[::-1], V[:, ::-1] / np.sqrt(lams[::-1])
+    peak = np.max(np.abs(V[0::2]), axis=0)
+    random = np.linalg.qr(
+        np.random.default_rng(seed).standard_normal((n_dof, p)))[0]
+    for start in (pd.modal._cantilever_block(n_el, p), random):
+        nus, vecs = pd.modal._subspace_iteration(me, start, n_modes)
+        np.testing.assert_allclose(np.sqrt(nus), np.sqrt(6.0 * lams),
+                                   rtol=1e-7)
+        np.testing.assert_allclose(vecs.T @ Mf @ vecs, np.eye(n_modes),
+                                   rtol=0, atol=1e-10)
+        ref = V * np.sign(np.diagonal(V.T @ Mf @ vecs))
+        assert np.all(np.abs(vecs[0::2] - ref[0::2]) <= 5e-6 * peak)
+
+
+@pytest.mark.parametrize("n_el, n_modes", [(800, 795), (100, 90), (10, 9),
+                                           (4, 4)])
+def test_fe_corner_meshes_match_dense_numpy_eigensolve(n_el, n_modes):
+    # Blocks at or near n_dof, and (100, 90), where the start spans the
+    # upper block modes poorly and the residual first falls by only about
+    # half per pass. Every eigenvalue nu = 1/omega^2 in the scaled DOFs is
+    # held to 1e-14 nu_1, the accuracy of numpy's dense solver.
+    props = pd.BeamProperties(1.0, 20.0, 1.0)
+    _, N = pd.assemble_beam_matrices(pd.BeamProperties(n_el, 1.0, 420.0), n_el)
+    R = np.linalg.cholesky(N[2:, 2:])
+    nus = np.linalg.eigvalsh(R.T @ _oracle_pattern(n_el) @ R)[::-1][:n_modes]
+    fe = pd.fe_beam_modes(props, n_el, n_modes)
+    omegas = np.array([m.omega for m in fe.modes])
+    le = props.length / n_el
+    scale = 2520.0 * props.bending_stiffness / (props.mass_per_length * le ** 4)
+    assert np.max(np.abs(scale / omegas ** 2 - nus)) <= 1e-14 * nus[0]
+
+
+def test_fe_model_build_leaves_numpy_random_unimported():
+    # The start block is closed form. Recent numpy imports numpy.random
+    # only on first use, so a build that draws no random numbers never
+    # loads it; an older numpy loads it with numpy itself, and then nothing
+    # is left to save.
+    src = Path(pd.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    probe = ("import sys, piezodamp as pd\n"
+             "before = 'numpy.random' in sys.modules\n"
+             "pd.fe_beam_modes(pd.BeamProperties(1.0, 20.0, 1.0), 800, 20)\n"
+             "print(before, 'numpy.random' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    before, after = out.stdout.split()
+    assert after == before
 
 
 def test_fe_mass_orthonormality(unit_beam):
