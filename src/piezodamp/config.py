@@ -1,34 +1,17 @@
 """Project configuration: one INI file describing the structure, the patch
 material and geometry, the controller, and the analysis settings.
 
-Sections and keys:
-
-    [structure]    source = analytic | finite_element | measured
-                   analytic/finite_element: length_m, EI_Nm2, mass_per_length_kgpm,
-                     n_modes, damping (optional), n_grid / n_elements (optional)
-                   measured: shapes_file, frequencies_hz (comma list),
-                     damping (optional comma list), smooth (optional)
-    [material]     d31_CpN, s11E_perPa, epsT_FpM
-    [patch]        length_m, width_m, thickness_m, x_start_m (optional),
-                   z_offset_m or host_thickness_m (exactly one)
-    [ppf]          freq_hz, zeta, gains (comma list for sweeps)
-    [analysis]     band_hz = lo,hi; n_freq (optional);
-                   min_prominence_db (optional); placement: step_m,
-                   mode_weights (optional "1:1.0,2:0.5", default all 1)
-
-Values are checked on load: numbers must be finite and files must exist. A
-rule that a library type or function states, the measured frequency and
-damping lists, the mode count, n_freq, step_m and the mode weights included,
-is checked by handing the values to it, and its error reads
-``[section]: message``. The model's size limits, each mode's limits and the
-shapes file are checked so when a command builds it. ``parse_band`` reads
-band_hz and ``analyze --band`` alike. Unknown keys are ignored, ``%`` is
-literal.
+``_SCHEMA`` lists each section's keys; others, and those of another
+``[structure] source``, are refused. Unknown sections are ignored and ``%``
+is literal. A library type or function checks the rule it states when the
+values are handed to it on load; its error reads ``[section]: message``.
+Model sizes, mode limits and the shapes file wait for a model build.
 """
 
 from __future__ import annotations
 
 import configparser
+import logging
 import math
 import os
 from dataclasses import dataclass
@@ -45,15 +28,9 @@ from .piezo import PatchGeometry, PiezoMaterial
 from .placement import _check_mode_weights, _check_step
 from .ppf import PPFConfig
 
+log = logging.getLogger(__name__)
 _BUILDERS = {SOURCE_ANALYTIC: analytic_cantilever_modes,
-             SOURCE_FE: fe_beam_modes,
-             SOURCE_MEASURED: load_measured_modes}
-
-
-def _section(cp: configparser.ConfigParser, name: str):
-    if not cp.has_section(name):
-        raise ConfigError(f"missing [{name}] section")
-    return cp[name]
+             SOURCE_FE: fe_beam_modes, SOURCE_MEASURED: load_measured_modes}
 
 
 def _checked(section: str, make, *args, **kwargs):
@@ -64,55 +41,41 @@ def _checked(section: str, make, *args, **kwargs):
         raise ConfigError(f"[{section}]: {exc}") from None
 
 
-def _finite(sect, key: str, value: float) -> float:
-    if not math.isfinite(value):
-        raise ConfigError(f"[{sect.name}] {key} = {sect[key]!r} is not finite")
-    return value
+def _reader(parse, noun: str):
+    """A reader of a key's text and name: ``parse`` of the text, not nan/inf."""
+    def read(text: str, name: str):
+        try:
+            value = parse(text)
+        except (KeyError, ValueError):
+            raise ConfigError(f"{name} = {text!r} is not {noun}") from None
+        for v in value if isinstance(value, list) else [value]:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ConfigError(f"{name} = {text!r} is not finite")
+        return value
+    return read
 
 
-def _get(sect, key: str, parse, noun: str, default=None):
-    """``parse`` of the key's text, ``default`` if the key is absent."""
-    if key not in sect:
-        if default is not None:
-            return default
-        raise ConfigError(f"[{sect.name}] is missing key {key!r}")
-    try:
-        return parse(sect[key])
-    except ValueError:
-        raise ConfigError(
-            f"[{sect.name}] {key} = {sect[key]!r} is not {noun}") from None
+_text, _float = _reader(str, "text"), _reader(float, "a number")
+_int = _reader(int, "an integer")
+_floats = _reader(lambda text: [float(t) for t in text.split(",") if t.strip()],
+                  "a comma list of numbers")
+_bool = _reader(lambda text: configparser.ConfigParser.BOOLEAN_STATES[
+    text.lower()], "a boolean")
 
 
-def _float(sect, key: str, default=None) -> float:
-    return _finite(sect, key, _get(sect, key, float, "a number", default))
-
-
-def _int(sect, key: str, default=None) -> int:
-    return _get(sect, key, int, "an integer", default)
-
-
-def _float_list(sect, key: str, default=None) -> list[float]:
-    return _get(sect, key, lambda text: [_finite(sect, key, float(t))
-                                         for t in text.split(",") if t.strip()],
-                "a comma list of numbers", default)
-
-
-def _weights(sect, key: str) -> dict[int, float]:
+def _weights(text: str, name: str) -> dict[int, float]:
     out: dict[int, float] = {}
-    for item in sect[key].split(","):
-        item = item.strip()
-        if not item:
-            continue
+    for item in filter(None, map(str.strip, text.split(","))):
         mode_s, _, weight_s = item.partition(":")
         try:  # without a colon, weight_s is empty
-            mode, weight = int(mode_s), _finite(sect, key, float(weight_s))
+            mode, weight = int(mode_s), float(weight_s)
         except ValueError:
-            raise ConfigError(
-                f"[{sect.name}] {key}: entry {item!r} must look like "
-                "'mode:weight'") from None
+            raise ConfigError(f"{name}: entry {item!r} must look like "
+                              "'mode:weight'") from None
+        if not math.isfinite(weight):
+            raise ConfigError(f"{name} = {text!r} is not finite")
         if mode in out:
-            raise ConfigError(
-                f"[{sect.name}] {key}: entry {item!r} repeats mode {mode}")
+            raise ConfigError(f"{name}: entry {item!r} repeats mode {mode}")
         out[mode] = weight
     return out
 
@@ -126,6 +89,76 @@ def parse_band(text: str, name: str) -> tuple[float, float]:
     except ValueError:  # not two numbers
         pass
     raise ConfigError(f"{name} must be 'lo,hi' in Hz with 0 < lo < hi")
+
+
+REQUIRED, ALL = object(), tuple(_BUILDERS)
+BEAM, MEASURED = (SOURCE_ANALYTIC, SOURCE_FE), (SOURCE_MEASURED,)
+# One row per key: key, its sources, reader, default or REQUIRED, and owner
+# rules of a value the INI gives. A retired key has no reader.
+_SCHEMA = {
+    "structure": [
+        ("source", ALL, _text, REQUIRED),
+        ("length_m", BEAM, _float, REQUIRED),
+        ("EI_Nm2", BEAM, _float, REQUIRED),
+        ("mass_per_length_kgpm", BEAM, _float, REQUIRED),
+        ("n_modes", BEAM, _int, REQUIRED, _check_mode_count),
+        ("n_grid", (SOURCE_ANALYTIC,), _int, 201),
+        ("n_elements", (SOURCE_FE,), _int, 64),
+        ("damping", BEAM, _float, DEFAULT_DAMPING),
+        ("shapes_file", MEASURED, _text, None),
+        ("frequencies_hz", MEASURED, _floats, REQUIRED),
+        ("damping", MEASURED, _floats, None),
+        ("smooth", MEASURED, _bool, False)],
+    "material": [(key, ALL, _float, REQUIRED)
+                 for key in ("d31_CpN", "s11E_perPa", "epsT_FpM")],
+    "patch": [("length_m", ALL, _float, REQUIRED),
+              ("width_m", ALL, _float, REQUIRED),
+              ("thickness_m", ALL, _float, REQUIRED),
+              ("z_offset_m", ALL, _float, None),
+              ("host_thickness_m", ALL, _float, None),
+              ("x_start_m", ALL, _float, 0.0)],
+    "ppf": [("freq_hz", ALL, _float, REQUIRED),
+            ("zeta", ALL, _float, REQUIRED),
+            ("gains", ALL, _floats, (), _check_gains)],
+    "analysis": [
+        ("band_hz", ALL, parse_band, REQUIRED),
+        ("n_freq", ALL, _int, 2001, _check_point_count),
+        ("min_prominence_db", ALL, _float, 1.0, _check_prominence),
+        ("step_m", ALL, _float, 0.0, _check_step),
+        ("n_patches", ALL, _int, 1),
+        ("mode_weights", ALL, _weights, None),
+        ("min_gap_m", ALL, None, None),  # from multi-patch placement
+        ("target_mode", ALL, None, None)],  # the benchmark INIs write it
+}
+
+
+def _read(cp: configparser.ConfigParser, name: str, source: str) -> dict:
+    """Section ``name``'s values for ``source`` by key, as ``_SCHEMA`` says."""
+    if not cp.has_section(name):
+        raise ConfigError(f"missing [{name}] section")
+    sect, out = cp[name], {}
+    rows = {row[0].lower(): row for row in _SCHEMA[name] if source in row[1]}
+    for key in (k for k in sect if k not in rows):
+        for other, sources, *_ in _SCHEMA[name]:
+            if other.lower() == key:
+                raise ConfigError(f"[{name}] {other} belongs to source = "
+                                  f"{' or '.join(sources)}, not {source}")
+        from difflib import get_close_matches  # only this error needs it
+        close = get_close_matches(key, [k for k in rows if rows[k][2]], 1)
+        hint = f"; did you mean {rows[close[0]][0]!r}?" if close else ""
+        raise ConfigError(f"[{name}] unknown key {key!r}{hint}")
+    for key, _, reader, default, *owners in rows.values():
+        if key not in sect:
+            if default is REQUIRED:
+                raise ConfigError(f"[{name}] is missing key {key!r}")
+            out[key] = default
+        elif reader is None:
+            log.info("[%s] %s is retired and ignored", name, key)
+        else:
+            out[key] = reader(sect[key], f"[{name}] {key}")
+            for owner in owners:
+                _checked(name, owner, out[key])
+    return out
 
 
 @dataclass
@@ -166,82 +199,49 @@ def load_config(path) -> ProjectConfig:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: cannot decode byte "
                           f"0x{exc.object[exc.start]:02x}") from None
-
-    st = _section(cp, "structure")
-    source = st.get("source", "").strip()
-    if source not in _BUILDERS:
-        raise ConfigError(
-            f"[structure] source must be one of {', '.join(_BUILDERS)}; "
-            f"got {source!r}")
+    source = cp.get("structure", "source", fallback="").strip()
+    if source not in _BUILDERS and cp.has_section("structure"):
+        raise ConfigError(f"[structure] source must be one of "
+                          f"{', '.join(_BUILDERS)}; got {source!r}")
+    st = _read(cp, "structure", source)
     if source == SOURCE_MEASURED:
-        if "shapes_file" not in st:
+        if st["shapes_file"] is None:
             raise ConfigError("[structure] measured source needs shapes_file")
         shapes_file = path.parent / st["shapes_file"]
         # os.path.isfile gives False, not an OSError, for a name the file
         # system rejects (too long, for one).
         if not os.path.isfile(shapes_file):
             raise ConfigError(f"shapes file {shapes_file} does not exist")
-        freqs = _float_list(st, "frequencies_hz")
-        damping = _float_list(st, "damping") if "damping" in st else None
-        _checked("structure", _measured_lists, freqs, damping)
-        smooth = _get(st, "smooth", lambda _: st.getboolean("smooth"),
-                      "a boolean", False)
+        freqs, damping = st["frequencies_hz"], st["damping"]
+        n_modes = len(_checked("structure", _measured_lists, freqs, damping)[0])
         structure = {"path": shapes_file, "frequencies_hz": freqs,
-                     "damping": damping, "smooth": smooth}
-        n_modes = len(freqs)
+                     "damping": damping, "smooth": st["smooth"]}
     else:
-        props = _checked("structure", BeamProperties,
-                         _float(st, "length_m"), _float(st, "EI_Nm2"),
-                         _float(st, "mass_per_length_kgpm"),
-                         _float(st, "damping", DEFAULT_DAMPING))
-        n_modes = _int(st, "n_modes")
-        _checked("structure", _check_mode_count, n_modes)
-        # Both sizes are checked on load; the source's builder takes one.
-        sizes = {"n_grid": _int(st, "n_grid", 201),
-                 "n_elements": _int(st, "n_elements", 64)}
+        props = _checked("structure", BeamProperties, *(st[k] for k in (
+            "length_m", "EI_Nm2", "mass_per_length_kgpm", "damping")))
+        n_modes = st["n_modes"]
         size = "n_grid" if source == SOURCE_ANALYTIC else "n_elements"
-        structure = {"props": props, "n_modes": n_modes, size: sizes[size]}
-
-    mt = _section(cp, "material")
-    material = _checked("material", PiezoMaterial, _float(mt, "d31_CpN"),
-                        _float(mt, "s11E_perPa"), _float(mt, "epsT_FpM"))
-
-    pt = _section(cp, "patch")
-    has_z = "z_offset_m" in pt
-    if has_z == ("host_thickness_m" in pt):
+        structure = {"props": props, "n_modes": n_modes, size: st[size]}
+    material = _checked("material", PiezoMaterial,
+                        *_read(cp, "material", source).values())
+    length, width, thickness, z_offset, host, x_start = _read(
+        cp, "patch", source).values()
+    if (z_offset is None) == (host is None):
         raise ConfigError(
             "[patch] needs exactly one of z_offset_m or host_thickness_m")
-    make, offset = ((PatchGeometry, "z_offset_m") if has_z else
-                    (PatchGeometry.on_host, "host_thickness_m"))
-    patch = _checked("patch", make, _float(pt, "length_m"),
-                     _float(pt, "width_m"), _float(pt, "thickness_m"),
-                     _float(pt, offset), _float(pt, "x_start_m", 0.0))
-
-    pf = _section(cp, "ppf")
+    make = PatchGeometry if host is None else PatchGeometry.on_host
+    patch = _checked("patch", make, length, width, thickness,
+                     z_offset if host is None else host, x_start)
     # The INI values themselves are kept, so outputs echo them bit for bit.
-    ppf_freq = _float(pf, "freq_hz")
-    ppf_zeta = _float(pf, "zeta")
-    _checked("ppf", PPFConfig.from_hz, ppf_freq, ppf_zeta)
-    gains = _float_list(pf, "gains", [])
-    _checked("ppf", _check_gains, gains)
-
-    an = _section(cp, "analysis")
-    band = parse_band(_get(an, "band_hz", str, "text"), "[analysis] band_hz")
-    n_freq = _int(an, "n_freq", 2001)
-    _checked("analysis", _check_point_count, n_freq)
-    min_prom = _float(an, "min_prominence_db", 1.0)
-    _checked("analysis", _check_prominence, min_prom)
-    step = _float(an, "step_m", 0.0)
-    if "step_m" in an:
-        _checked("analysis", _check_step, step)
-    # Refused rather than ignored like other unknown keys, so an INI that
-    # asks for several patches does not silently get one.
-    if _int(an, "n_patches", 1) != 1:
+    freq, zeta, gains = _read(cp, "ppf", source).values()
+    _checked("ppf", PPFConfig.from_hz, freq, zeta)
+    an = _read(cp, "analysis", source)
+    if an["n_patches"] != 1:
         raise ConfigError("[analysis] n_patches: place picks one patch; "
                           "scan.csv holds every candidate position")
-    weights = (_weights(an, "mode_weights") if "mode_weights" in an
-               else {i: 1.0 for i in range(1, n_modes + 1)})
+    weights = (dict.fromkeys(range(1, n_modes + 1), 1.0)
+               if an["mode_weights"] is None else an["mode_weights"])
     _checked("analysis", _check_mode_weights, weights, n_modes)
-
-    return ProjectConfig(source, structure, material, patch, ppf_freq,
-                         ppf_zeta, gains, band, n_freq, min_prom, step, weights)
+    return ProjectConfig(source, structure, material, patch, freq, zeta,
+                         list(gains), an["band_hz"], an["n_freq"],
+                         an["min_prominence_db"], an["step_m"], weights)

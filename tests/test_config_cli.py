@@ -10,11 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import piezodamp as pd
-from piezodamp import cli
+from piezodamp import cli, config
 from piezodamp.errors import (ConfigError, InvalidInputError, NumericalError,
                               PiezodampError)
 
@@ -381,6 +381,112 @@ def test_config_without_weights_weights_every_mode_1(tmp_path):
 
 _FE_STRUCTURE = ("[structure]\nsource = finite_element\nlength_m = 1.0\n"
                  "EI_Nm2 = 1.0\nmass_per_length_kgpm = 1.0\n")
+# A valid [structure] section per source; the measured one needs a
+# shapes.csv next to the INI.
+_STRUCTURES = {
+    "analytic": _FE_STRUCTURE.replace("finite_element", "analytic")
+    + "n_modes = 2\n",
+    "finite_element": _FE_STRUCTURE + "n_modes = 2\n",
+    "measured": "[structure]\nsource = measured\nshapes_file = shapes.csv\n"
+                "frequencies_hz = 10, 20\n",
+}
+
+
+def _ini_for(root, source, section, line):
+    """A valid INI for ``source`` with ``line`` added to [section]."""
+    (root / "shapes.csv").write_text("x_m,mode1,mode2\n")
+    path = _minimal_ini(root, structure=_STRUCTURES[source])
+    path.write_text(path.read_text().replace(f"[{section}]\n",
+                                             f"[{section}]\n{line}\n"))
+    return path
+
+
+_TABLE_KEYS = [(section, source, row[0])
+               for section, rows in config._SCHEMA.items()
+               for row in rows for source in row[1]]
+_KEY_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789_"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_load_config_refuses_a_one_edit_misspelling_of_every_key(
+        tmp_path_factory, data):
+    section, source, key = data.draw(st.sampled_from(_TABLE_KEYS))
+    kind = data.draw(st.sampled_from(
+        ["insert", "delete", "substitute", "transpose"]))
+    last = len(key) + (kind == "insert") - (kind == "transpose") - 1
+    i = data.draw(st.integers(0, last), label="position")
+    c = data.draw(st.sampled_from(_KEY_CHARS), label="char")
+    if kind == "insert":
+        edited = key[:i] + c + key[i:]
+    elif kind == "delete":
+        edited = key[:i] + key[i + 1:]
+    elif kind == "substitute":
+        edited = key[:i] + c + key[i + 1:]
+    else:
+        edited = key[:i] + key[i + 1] + key[i] + key[i + 2:]
+    edited = edited.lower()
+    # configparser folds case, so a case-only edit is the key itself.
+    assume(edited not in {row[0].lower() for row in config._SCHEMA[section]})
+    path = _ini_for(tmp_path_factory.mktemp("edit"), source, section,
+                    f"{edited} = 1")
+    with pytest.raises(ConfigError) as err:
+        pd.load_config(path)
+    assert str(err.value).startswith(f"[{section}] unknown key {edited!r}")
+
+
+@pytest.mark.parametrize("source, line, message", [
+    ("analytic", "n_elements = 64",
+     "[structure] n_elements belongs to source = finite_element, not analytic"),
+    ("finite_element", "n_grid = 201",
+     "[structure] n_grid belongs to source = analytic, not finite_element"),
+    ("analytic", "shapes_file = shapes.csv",
+     "[structure] shapes_file belongs to source = measured, not analytic"),
+    ("measured", "EI_Nm2 = 1.0",
+     "[structure] EI_Nm2 belongs to source = analytic or finite_element, "
+     "not measured"),
+])
+def test_load_config_refuses_a_key_of_another_source(tmp_path, source, line,
+                                                     message):
+    path = _ini_for(tmp_path, source, "structure", line)
+    with pytest.raises(ConfigError) as err:
+        pd.load_config(path)
+    assert str(err.value) == message
+
+
+def test_cli_refuses_misspelt_keys_naming_the_first(gripper_ini, tmp_path,
+                                                    capsys):
+    # Each of these used to fall back to its default without a word.
+    shutil.copy(gripper_ini.parent / "gripper_shapes.csv", tmp_path)
+    ini = tmp_path / "typos.ini"
+    ini.write_text(gripper_ini.read_text()
+                   + "n_freqs = 21\nmode_weight = 1:1.0\nbogus_key = 3\n")
+    out = tmp_path / "out"
+    assert _run(["sweep", "--config", str(ini), "--out-dir", str(out),
+                 "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        "error: [analysis] unknown key 'n_freqs'; did you mean 'n_freq'?\n")
+    assert not out.exists()
+    ini.write_text(gripper_ini.read_text() + "bogus_key = 3\n")
+    with pytest.raises(ConfigError, match=r"^\[analysis\] unknown key "
+                                          r"'bogus_key'$"):
+        pd.load_config(ini)
+
+
+def test_cli_notes_retired_keys_only_with_verbose(gripper_ini, tmp_path,
+                                                  capsys):
+    shutil.copy(gripper_ini.parent / "gripper_shapes.csv", tmp_path)
+    ini = tmp_path / "retired.ini"
+    ini.write_text(gripper_ini.read_text()
+                   + "min_gap_m = 0.05\ntarget_mode = 2\n")
+    args = ["place", "--config", str(ini), "--out-dir", str(tmp_path),
+            "--quiet"]
+    assert _run(args) == 0
+    assert capsys.readouterr().err == ""
+    assert _run(args + ["-v"]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "info: [analysis] min_gap_m is retired and ignored",
+        "info: [analysis] target_mode is retired and ignored"]
 
 
 @pytest.mark.parametrize("structure, message", [

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import piezodamp as pd
+from piezodamp import config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -34,3 +35,25 @@ def test_export_list_names_each_public_name_once():
     exec("from piezodamp import *", namespace)
     namespace.pop("__builtins__")
     assert sorted(namespace) == sorted(pd.__all__)
+
+
+def _readme_ini_keys() -> set:
+    section = README.read_text().split("## Project INI schema", 1)[1]
+    block = re.search(r"```ini\n(.*?)```", section, re.S).group(1)
+    keys, name = set(), None
+    for line in block.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            name = line.strip("[]")
+        elif "=" in line:
+            keys.add((name, line.split("=", 1)[0].strip()))
+    return keys
+
+
+def test_readme_ini_block_lists_the_keys_of_the_schema_table():
+    # Both directions; retired keys (no reader) are accepted but not shown.
+    table = {(name, row[0]) for name, rows in config._SCHEMA.items()
+             for row in rows if row[2] is not None}
+    readme = _readme_ini_keys()
+    assert readme - table == set()
+    assert table - readme == set()
