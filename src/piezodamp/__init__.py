@@ -8,9 +8,8 @@ coupling peaks, close a positive position feedback loop around the target
 mode, and read the achieved damping off the closed-loop frequency response.
 """
 
-from .errors import (BandwidthError, ConfigError, DegeneratePlantError,
-                     InvalidInputError, InvalidMaterialError, NumericalError,
-                     ParseError, PiezodampError, PlacementError)
+from .errors import (ConfigError, InvalidInputError, NumericalError,
+                     ParseError, PiezodampError)
 from .modal import (BeamProperties, ModalModel, Mode, analytic_cantilever_modes,
                     assemble_beam_matrices, cantilever_root, fe_beam_modes,
                     load_measured_modes)
@@ -31,9 +30,8 @@ from .config import ProjectConfig, load_config
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandwidthError", "ConfigError", "DegeneratePlantError",
-    "InvalidInputError", "InvalidMaterialError", "NumericalError",
-    "ParseError", "PiezodampError", "PlacementError",
+    "ConfigError", "InvalidInputError", "NumericalError", "ParseError",
+    "PiezodampError",
     "BeamProperties", "ModalModel", "Mode", "analytic_cantilever_modes",
     "assemble_beam_matrices", "cantilever_root", "fe_beam_modes",
     "load_measured_modes",

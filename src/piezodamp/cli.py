@@ -21,7 +21,7 @@ from .errors import (ConfigError, InvalidInputError, NumericalError,
                      PiezodampError)
 from .frf import (bode_table, find_peaks, gain_sweep, half_power_damping,
                   load_frf_csv)
-from .modal import SOURCE_MEASURED, TWO_PI
+from .modal import SOURCE_MEASURED, TWO_PI, _numeral
 from .piezo import coupling_factor
 from .placement import PlacementProblem, optimize_placement
 from .ppf import (LinearSystem, PPFConfig, build_plant, critical_gain,
@@ -290,6 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
             ("analyze", cmd_analyze, "peak table of an FRF CSV file")):
         sub.add_parser(name, parents=[shared], help=text).set_defaults(func=func)
     an = sub.choices["analyze"]
+    # type=float reads through _numeral; its refusal still says "float".
+    an.register("type", float, _numeral)
     an.add_argument("--frf", required=True, help="FRF CSV file to analyze")
     an.add_argument("--band", default=None, help="frequency band 'lo,hi' in Hz")
     an.add_argument("--min-prominence-db", type=float, default=None,

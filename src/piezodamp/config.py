@@ -21,7 +21,7 @@ from .errors import ConfigError, InvalidInputError
 from .frf import _check_gains, _check_point_count, _check_prominence
 from .modal import (DEFAULT_DAMPING, SOURCE_ANALYTIC, SOURCE_FE,
                     SOURCE_MEASURED, BeamProperties, ModalModel,
-                    _check_mode_count, _measured_lists,
+                    _check_mode_count, _measured_lists, _numeral,
                     analytic_cantilever_modes, fe_beam_modes,
                     load_measured_modes)
 from .piezo import PatchGeometry, PiezoMaterial
@@ -55,10 +55,10 @@ def _reader(parse, noun: str):
     return read
 
 
-_text, _float = _reader(str, "text"), _reader(float, "a number")
-_int = _reader(int, "an integer")
-_floats = _reader(lambda text: [float(t) for t in text.split(",") if t.strip()],
-                  "a comma list of numbers")
+_text, _float = _reader(str, "text"), _reader(_numeral, "a number")
+_int = _reader(lambda text: _numeral(text, int), "an integer")
+_floats = _reader(lambda text: [_numeral(t) for t in text.split(",")
+                                if t.strip()], "a comma list of numbers")
 _bool = _reader(lambda text: configparser.ConfigParser.BOOLEAN_STATES[
     text.lower()], "a boolean")
 
@@ -68,7 +68,7 @@ def _weights(text: str, name: str) -> dict[int, float]:
     for item in filter(None, map(str.strip, text.split(","))):
         mode_s, _, weight_s = item.partition(":")
         try:  # without a colon, weight_s is empty
-            mode, weight = int(mode_s), float(weight_s)
+            mode, weight = _numeral(mode_s, int), _numeral(weight_s)
         except ValueError:
             raise ConfigError(f"{name}: entry {item!r} must look like "
                               "'mode:weight'") from None
@@ -83,7 +83,7 @@ def _weights(text: str, name: str) -> dict[int, float]:
 def parse_band(text: str, name: str) -> tuple[float, float]:
     """The band ``'lo,hi'`` in Hz, finite with 0 < lo < hi; ``name`` is its key."""
     try:
-        lo, hi = map(float, text.split(","))
+        lo, hi = map(_numeral, text.split(","))
         if 0.0 < lo < hi < math.inf:
             return lo, hi
     except ValueError:  # not two numbers

@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, one per caller response.
 
 The command line front end maps these onto exit codes: validation and data
 errors exit 1, numerical failures exit 2, file system errors exit 3.
@@ -10,19 +10,11 @@ class PiezodampError(Exception):
 
 
 class InvalidInputError(PiezodampError):
-    """Arguments violate a documented precondition."""
-
-
-class InvalidMaterialError(InvalidInputError):
-    """Material constants are non-physical (coupling factor would reach 1)."""
-
-
-class PlacementError(InvalidInputError):
-    """Patch does not fit the structure, or no feasible position exists."""
-
-
-class DegeneratePlantError(InvalidInputError):
-    """Every selected mode has zero coupling, so the plant is uncontrollable."""
+    """Arguments or data violate a documented precondition: non-physical
+    material constants, a patch that does not fit, a plant with no
+    controllable mode, a half-power crossing off the record or not resolved
+    by the grid. ``load_config`` names the INI section of such an error, and
+    ``gain_sweep`` turns one into a row without an estimate."""
 
 
 class ParseError(PiezodampError):
@@ -35,7 +27,3 @@ class ConfigError(PiezodampError):
 
 class NumericalError(PiezodampError):
     """A numerical routine (eigensolve, linear solve) failed to converge."""
-
-
-class BandwidthError(PiezodampError):
-    """A half-power crossing is off the record or not resolved by the grid."""

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
-from .errors import BandwidthError, InvalidInputError, ParseError
+from .errors import InvalidInputError, ParseError
 from .modal import TWO_PI, _read_csv
 from .ppf import (LinearSystem, ModalPlant, PPFConfig, close_loop,
                   plant_system, ppf_controller, stability)
@@ -267,7 +267,7 @@ def half_power_damping(frf: FRF, peak_index: int) -> DampingEstimate:
     of the peak; one exactly at that level, or inf, counts as above it. Each
     crossing is interpolated linearly towards the peak from a sample that must
     not be flagged. A side with no other sample above the level is not
-    resolved and raises ``BandwidthError``.
+    resolved and raises ``InvalidInputError``.
     """
     mag = np.abs(frf.values)
     f = frf.freqs_hz
@@ -287,14 +287,14 @@ def half_power_damping(frf: FRF, peak_index: int) -> DampingEstimate:
     below = np.flatnonzero(mag < thr)
     k = int(np.searchsorted(below, i))
     if k == 0:
-        raise BandwidthError(
+        raise InvalidInputError(
             "low-frequency half-power crossing lies outside the record")
     if k == below.size:
-        raise BandwidthError(
+        raise InvalidInputError(
             "high-frequency half-power crossing lies outside the record")
     a, b = below[k - 1], below[k]
     if a == i - 1 or b == i + 1:
-        raise BandwidthError(
+        raise InvalidInputError(
             f"peak at {f[i]:g} Hz not resolved; refine the frequency grid")
     for s in (a + 1, b - 1):  # the samples each crossing interpolates from
         if np.isinf(mag[s]):
@@ -371,7 +371,7 @@ def gain_sweep(plant: ModalPlant, cfg: PPFConfig, gains, freqs_hz=None,
             else:
                 mag = np.abs(resp.values)
                 estimate = half_power_damping(resp, max(peaks, key=lambda k: mag[k]))
-        except (InvalidInputError, BandwidthError) as exc:
+        except InvalidInputError as exc:
             log.warning("gain %g: no half-power estimate: %s", g, exc)
         rows.append(SweepRow(g, estimate, resp))
     return rows

@@ -447,7 +447,8 @@ def _subspace_iteration(me: np.ndarray, X: np.ndarray, n_modes: int):
         if p == n_dof or worst >= best:
             ratio = residual / mus[0]
             log.info("beam eigensolve: %d passes, block width %d, worst "
-                     "residual %.3g mu_1", k, p, np.max(ratio))
+                     "residual %.3g mu_1, worst relative residual %.3g", k, p,
+                     np.max(ratio), worst)
             if not np.all(ratio <= 1e-10):
                 raise NumericalError(
                     f"beam eigensolve stopped with a residual of "
@@ -527,14 +528,22 @@ def _row_error(line_no: int, line: str, header: list[str]):
     for token, column in zip(fields, header):
         where = f"line {line_no}, column {column!r}"
         try:
-            # float() also takes "1_0" and non-ASCII digits, which np.loadtxt rejects.
-            if "_" in token or not token.isascii():
-                raise ValueError
-            if not math.isfinite(float(token)):
+            if not math.isfinite(_numeral(token)):
                 return ParseError(f"{where}: non-finite value {token!r}")
         except ValueError:
             return ParseError(f"{where}: cannot parse {token!r} as a number")
     return None
+
+
+def _numeral(text: str, kind=float):
+    """``kind(text)`` under the one numeral rule of every number the tool
+    reads, the one ``np.loadtxt`` applies: plain decimal or exponent notation,
+    with surrounding whitespace. ``float`` and ``int`` also take digit
+    separators ("1_0") and non-ASCII digits; this raises ValueError for them.
+    """
+    if "_" in text or not text.strip().isascii():
+        raise ValueError(f"not a plain numeral: {text!r}")
+    return kind(text)
 
 
 def _measured_lists(frequencies_hz, damping=None):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import InvalidInputError, InvalidMaterialError, PlacementError
+from .errors import InvalidInputError
 from .modal import ModalModel, SOURCE_MEASURED, TWO_PI
 
 
@@ -47,7 +47,7 @@ def k31_squared(mat: PiezoMaterial) -> float:
     """Material coupling factor d31^2 / (s11E epsT); must lie in [0, 1)."""
     k2 = mat.d31 * mat.d31 / (mat.s11E * mat.epsT)
     if not k2 < 1.0:
-        raise InvalidMaterialError(
+        raise InvalidInputError(
             f"d31^2/(s11E epsT) = {k2:g} is non-physical; it must be < 1")
     return k2
 
@@ -127,7 +127,7 @@ def delta_thetas(model: ModalModel, patch_length: float,
     outside = (starts < -tol) | (starts + patch_length > L + tol)
     if np.any(outside):
         i = int(np.flatnonzero(outside)[0])
-        raise PlacementError(
+        raise InvalidInputError(
             f"patch [{starts[i]:g}, {starts[i] + patch_length:g}] m falls outside "
             f"the 0..{L:g} m grid")
     ends = starts + patch_length
@@ -136,7 +136,7 @@ def delta_thetas(model: ModalModel, patch_length: float,
     same = cell_a == cell_e
     if np.any(same):
         i = int(np.flatnonzero(same)[0])
-        raise PlacementError(
+        raise InvalidInputError(
             f"patch of length {patch_length:g} m spans less than one grid cell "
             f"at x_start = {starts[i]:g} m; refine the grid or grow the patch")
     theta = np.vstack([m.theta for m in model.modes])

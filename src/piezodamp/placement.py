@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, PlacementError
+from .errors import InvalidInputError
 from .modal import ModalModel
 from .piezo import (PatchGeometry, PiezoMaterial, coupling_coefficients,
                     delta_thetas)
@@ -86,7 +86,7 @@ def candidate_positions(problem: PlacementProblem) -> np.ndarray:
     L = problem.model.length
     limit = L - problem.patch.length
     if limit < -1e-12 * L:
-        raise PlacementError(
+        raise InvalidInputError(
             f"patch length {problem.patch.length:g} m exceeds the structure "
             f"length {L:g} m; no feasible position")
     n = int(np.floor(limit / problem.step + 1e-9)) + 1

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePlantError, InvalidInputError, NumericalError
+from .errors import InvalidInputError, NumericalError
 from .modal import ModalModel, TWO_PI, _check_damping
 from .piezo import PatchGeometry, delta_thetas
 
@@ -137,7 +137,7 @@ def build_plant(model: ModalModel, patch: PatchGeometry,
     dth = dth[[i - 1 for i in indices]]
     peak = float(np.max(np.abs(dth)))
     if peak == 0.0:
-        raise DegeneratePlantError(
+        raise InvalidInputError(
             "every selected mode has zero slope difference across the patch")
     return ModalPlant(np.array([m.omega for m in modes]),
                       np.array([m.zeta for m in modes]), dth / peak)
@@ -198,6 +198,6 @@ def critical_gain(plant: ModalPlant, cfg: PPFConfig) -> float:
     best (see ``ModalPlant``).
     """
     if not np.any(plant.b != 0.0):
-        raise DegeneratePlantError("plant has no controllable mode")
+        raise InvalidInputError("plant has no controllable mode")
     return float(1.0 / np.sum(plant.b * plant.b
                               / (plant.omegas * plant.omegas)))

@@ -201,6 +201,41 @@ def test_config_errors(tmp_path, gripper_ini):
         pd.load_config(path)
 
 
+@pytest.mark.parametrize("token", ["2_001", "\u0662\u0660\u0660\u0661",
+                                   "0.0_1"])
+def test_every_number_reader_refuses_what_the_csv_reader_refuses(
+        tmp_path, gripper_frf_csv, capsys, token):
+    # float() and int() take digit separators and non-ASCII digits;
+    # np.loadtxt does not, and no other number the tool reads does either.
+    for old, new, message in [
+            ("step_m = 0.1", f"step_m = 0.1\nn_freq = {token}",
+             rf"\[analysis\] n_freq = '{token}' is not an integer"),
+            ("step_m = 0.1", f"step_m = {token}",
+             rf"\[analysis\] step_m = '{token}' is not a number"),
+            ("gains = 1, 2", f"gains = 1, {token}",
+             r"\[ppf\] gains = .* is not a comma list of numbers"),
+            ("band_hz = 0.4, 0.7", f"band_hz = 0.4, {token}",
+             r"\[analysis\] band_hz must be 'lo,hi' in Hz"),
+            ("step_m = 0.1", f"step_m = 0.1\nmode_weights = 1:{token}",
+             r"\[analysis\] mode_weights: entry .* must look like"),
+            ("step_m = 0.1", f"step_m = 0.1\nmode_weights = {token}:1",
+             r"\[analysis\] mode_weights: entry .* must look like")]:
+        path = _minimal_ini(tmp_path)
+        path.write_text(path.read_text().replace(old, new), encoding="utf-8")
+        with pytest.raises(ConfigError, match=message):
+            pd.load_config(path)
+    analyze = ["analyze", "--frf", str(gripper_frf_csv), "--out-dir",
+               str(tmp_path / "out"), "--quiet"]
+    assert _run(analyze + ["--band", f"50,{token}"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --band must be 'lo,hi' in Hz with 0 < lo < hi\n")
+    assert _run(analyze + ["--band", "50,90", "--min-prominence-db",
+                           token]) == 1
+    assert capsys.readouterr().err.endswith(
+        f"error: argument --min-prominence-db: invalid float value: "
+        f"{token!r}\n")
+
+
 def test_config_patch_z_offset(tmp_path):
     host = _minimal_ini(tmp_path)
     text = host.read_text()
@@ -635,6 +670,11 @@ def test_cli_verbose_adds_only_info_lines(tmp_path, capsys, flag_first):
     assert len(lines) == 1
     assert lines[0].startswith("info: beam eigensolve: ")
     assert "block width 14" in lines[0]
+    # The worst residual over each mode's own mu is at least the worst over
+    # mu_1, the largest mu; a mode short of convergence shows only there.
+    head, _, relative = lines[0].rpartition(", worst relative residual ")
+    to_mu1 = head.rpartition(" worst residual ")[2].removesuffix(" mu_1")
+    assert float(to_mu1) <= float(relative) < 1e-12
     for name in ("modes.csv", "shapes.csv"):
         assert ((tmp_path / "verbose" / name).read_bytes()
                 == (tmp_path / "plain" / name).read_bytes())
@@ -777,11 +817,17 @@ def test_cli_analyze_refuses_a_damping_ratio_outside_0_1_on_load(
             "error: [structure]: damping ratios must lie in [0, 1)\n")
 
 
-def test_python_m_piezodamp_exits_like_the_cli():
+def _src_env(**extra):
+    """This environment with the tested source tree first on PYTHONPATH."""
     src = Path(pd.__file__).resolve().parent.parent
-    env = dict(os.environ)
+    env = dict(os.environ, **extra)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_python_m_piezodamp_exits_like_the_cli():
+    env = _src_env()
     for argv, code in ((["--help"], 0), (["bogus"], 1)):
         out = subprocess.run([sys.executable, "-m", "piezodamp", *argv],
                              env=env, capture_output=True, text=True)
@@ -1037,15 +1083,11 @@ print(json.dumps([blocked, after_import, scipy_modules()]))
 
 
 def _run_without_scipy(argvs):
-    src = Path(pd.__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(src), env.get("PYTHONPATH")) if p)
     # Any warning on these runs fails them too.
-    env["PYTHONWARNINGS"] = "error"
     out = subprocess.run([sys.executable, "-c", _NO_SCIPY_PROBE,
                           json.dumps(argvs)],
-                         env=env, capture_output=True, text=True)
+                         env=_src_env(PYTHONWARNINGS="error"),
+                         capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     return json.loads(out.stdout.splitlines()[-1])
 
@@ -1084,3 +1126,19 @@ def test_cli_finite_element_run_loads_only_scipy_linalg(tmp_path):
     assert blocked
     assert after_import == []
     assert after_run == []
+
+
+def test_importing_the_cli_loads_only_stdlib_numpy_and_piezodamp():
+    # numpy is the one run-time dependency, so the CLI's start-up may add
+    # nothing else to what a bare interpreter has loaded.
+    probe = ("import json, sys\n"
+             "before = set(sys.modules)\n"
+             "import piezodamp.cli\n"
+             "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+    out = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    added = json.loads(out.stdout)
+    assert "piezodamp.cli" in added and "numpy" in added
+    allowed = set(sys.stdlib_module_names) | {"numpy", "piezodamp"}
+    assert [m for m in added if m.split(".")[0] not in allowed] == []

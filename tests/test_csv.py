@@ -4,13 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import piezodamp as pd
-from piezodamp import modal
+from piezodamp import config, modal
 from piezodamp.cli import _BLOCK, _write_csv, main
-from piezodamp.errors import PiezodampError, ParseError
+from piezodamp.errors import ConfigError, PiezodampError, ParseError
 from piezodamp.modal import _read_csv
 
 HEADERS = ["freq_hz,real,imag", "freq_hz,mag,phase_deg", "x_m,mode1,mode2",
@@ -118,6 +118,25 @@ def test_reader_matches_row_walk(tmp_path_factory, content, min_rows):
         assert new[1].startswith("line ") and "cannot parse" in new[1]
         token = new[1].split("cannot parse ")[1][1:-len("' as a number")]
         assert "_" in token or not token.isascii()
+
+
+@settings(max_examples=300, deadline=None)
+@given(token=_FIELDS)
+@example(token="2_001")
+@example(token="\u0662\u0660\u0660\u0661")
+@example(token="0.0_1")
+def test_ini_numbers_follow_the_csv_numeral_rule(tmp_path_factory, token):
+    # One numeral rule: an INI number and the field of a one-column CSV
+    # accept and refuse the same tokens, and read the same value.
+    path = tmp_path_factory.getbasetemp() / "column.csv"
+    path.write_text(f"v\n{token}\n", encoding="utf-8")
+    csv = _outcome(_read_csv, path, _check_header, 1)
+    try:
+        ini = ("ok", np.array([[config._float(token, "[s] v")]]).tobytes())
+    except ConfigError:
+        ini = ("error",)
+    assert ini[0] == csv[0]
+    assert ini[1:] == csv[3:]
 
 
 @pytest.mark.parametrize("inserted, refused", [

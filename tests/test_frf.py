@@ -1,5 +1,6 @@
 import logging
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.signal import find_peaks as scipy_find_peaks
 
 import piezodamp as pd
-from piezodamp.errors import BandwidthError, InvalidInputError, ParseError
+from piezodamp.errors import InvalidInputError, ParseError
 from piezodamp.frf import _prominent_peaks
 
 
@@ -54,6 +55,35 @@ def test_frf_flags_singular_sample_and_continues():
     assert np.all(np.isfinite(frf.values[[0, 1, 3, 4]]))
     assert np.count_nonzero(frf.flagged) == 1
 
+
+
+def test_frf_of_flags_singular_point():
+    # Undamped oscillator hit exactly at resonance: jw I - A is singular.
+    w0 = 2.0 * np.pi * 10.0
+    sys_ = pd.LinearSystem([[0.0, 1.0], [-w0 * w0, 0.0]], [[0.0], [1.0]],
+                           [[1.0, 0.0]])
+    frf = pd.frf_of(sys_, [5.0, 10.0, 20.0])
+    assert np.isinf(np.abs(frf.values[1]))
+    assert np.all(np.isfinite(frf.values[[0, 2]]))
+
+
+def test_frf_of_scratch_stays_bounded_at_42_states():
+    # The batched solve's scratch grows with the square of the state count,
+    # so the batch shrinks as the model grows. A fixed 8192-point batch held
+    # all 5,001 points here at once, about 270 MiB of scratch.
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((42, 42))
+    A -= (np.max(np.linalg.eigvals(A).real) + 1.0) * np.eye(42)
+    b, c = rng.standard_normal((2, 42))
+    sys_ = pd.LinearSystem(A, b[:, None], c[None, :])
+    freqs = np.linspace(1.0, 100.0, 5001) / (2.0 * np.pi)
+    tracemalloc.start()
+    try:
+        pd.frf_of(sys_, freqs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
 
 def test_frf_of_validation():
     sys_ = pd.plant_system(_sdof())
@@ -247,13 +277,13 @@ def test_half_power_missing_crossing_sides():
     frf = pd.frf_of(sys_, np.linspace(45.0, f0 * 1.004, 401))
     mag = np.abs(frf.values)
     peak = int(np.argmax(mag))
-    with pytest.raises(BandwidthError, match="high-frequency"):
+    with pytest.raises(InvalidInputError, match="high-frequency"):
         pd.half_power_damping(frf, peak)
     # Left edge cut just below the peak: low-side crossing missing.
     frf = pd.frf_of(sys_, np.linspace(f0 * 0.996, 60.0, 401))
     mag = np.abs(frf.values)
     peak = int(np.argmax(mag))
-    with pytest.raises(BandwidthError, match="low-frequency"):
+    with pytest.raises(InvalidInputError, match="low-frequency"):
         pd.half_power_damping(frf, peak)
 
 
@@ -264,8 +294,8 @@ def test_half_power_refuses_a_peak_the_grid_does_not_resolve():
     frf = pd.frf_of(pd.plant_system(_sdof(f0, 0.01)),
                     np.linspace(0.8 * f0, 1.2 * f0, 9))
     assert pd.find_peaks(frf, (60.0, 90.0)) == [4]
-    with pytest.raises(BandwidthError, match="peak at 75 Hz not resolved; "
-                                             "refine the frequency grid"):
+    with pytest.raises(InvalidInputError, match="peak at 75 Hz not resolved; "
+                                                "refine the frequency grid"):
         pd.half_power_damping(frf, 4)
 
 
@@ -296,14 +326,14 @@ def _walked_half_power(mag, f, i):
     while a > 0 and mag[a] >= thr:
         a -= 1
     if mag[a] >= thr:
-        return BandwidthError, "low-frequency"
+        return InvalidInputError, "low-frequency"
     b = i
     while b < mag.size - 1 and mag[b] >= thr:
         b += 1
     if mag[b] >= thr:
-        return BandwidthError, "high-frequency"
+        return InvalidInputError, "high-frequency"
     if a == i - 1 or b == i + 1:
-        return BandwidthError, f"peak at {f[i]:g} Hz not resolved"
+        return InvalidInputError, f"peak at {f[i]:g} Hz not resolved"
     for s in (a + 1, b - 1):
         if np.isinf(mag[s]):
             return InvalidInputError, f"the sample at {f[s]:g} Hz"

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import piezodamp as pd
-from piezodamp.errors import InvalidInputError, PlacementError
+from piezodamp.errors import InvalidInputError
 
 
 def _problem(model, material, patch, weights=None, step=0.05):
@@ -32,7 +32,7 @@ def test_candidate_grid_patch_fills_beam(unit_model, material):
 
 def test_patch_longer_than_beam(unit_model, material):
     patch = pd.PatchGeometry(1.5, 0.02, 0.0005, 0.00125)
-    with pytest.raises(PlacementError, match="exceeds"):
+    with pytest.raises(InvalidInputError, match="exceeds"):
         pd.scan_objective(_problem(unit_model, material, patch))
 
 

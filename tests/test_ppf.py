@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import piezodamp as pd
-from piezodamp.errors import (DegeneratePlantError, InvalidInputError)
+from piezodamp.errors import InvalidInputError
 
 
 def _frf_point(sys_, w):
@@ -119,7 +119,8 @@ def test_build_plant_degenerate():
     mode = pd.Mode(10.0, 0.01, x.copy(), np.ones_like(x))
     model = pd.ModalModel(x, [mode], "analytic")
     patch = pd.PatchGeometry(0.2, 0.02, 0.0005, 0.00125)
-    with pytest.raises(DegeneratePlantError):
+    with pytest.raises(InvalidInputError, match="every selected mode has zero "
+                                                 "slope difference"):
         pd.build_plant(model, patch, [1])
 
 
@@ -206,7 +207,8 @@ def test_critical_gain_beyond_former_search_cap():
 
 def test_critical_gain_needs_a_controllable_mode():
     plant = pd.ModalPlant([10.0, 20.0], [0.01, 0.0], [0.0, 0.0])
-    with pytest.raises(DegeneratePlantError):
+    with pytest.raises(InvalidInputError,
+                       match="plant has no controllable mode"):
         pd.critical_gain(plant, pd.PPFConfig(15.0, 0.3))
 
 

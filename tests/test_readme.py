@@ -37,6 +37,14 @@ def test_export_list_names_each_public_name_once():
     assert sorted(namespace) == sorted(pd.__all__)
 
 
+def test_readme_public_api_names_each_error_type():
+    section = README.read_text().split("## Public API", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    errors = [name for name in pd.__all__ if name.endswith("Error")]
+    assert len(errors) == 5
+    assert all(f"- `{name}`: " in section for name in errors)
+
+
 def _readme_ini_keys() -> set:
     section = README.read_text().split("## Project INI schema", 1)[1]
     block = re.search(r"```ini\n(.*?)```", section, re.S).group(1)
