@@ -2,9 +2,10 @@
 
 Subcommands: modes, coupling, place, ppf-design, sweep, analyze. All take a
 project INI file via --config (analyze can run from an FRF file alone) and
-write CSV results into --out-dir. Exit codes: 0 success, 1 usage,
-validation or data error, 2 numerical failure, 3 file system error. Floats
-in CSV files and reports carry 9 significant digits.
+write CSV results into --out-dir, which is made only once the INI has
+loaded. Exit codes: 0 success, 1 usage, validation or data error, 2
+numerical failure, 3 file system error. Floats in CSV files and reports
+carry 9 significant digits.
 """
 
 from __future__ import annotations
@@ -28,8 +29,12 @@ from .ppf import (LinearSystem, PPFConfig, build_plant, critical_gain,
                   plant_system, ppf_controller)
 
 
+# The one number format of CSV files and reports.
+_FLOAT = "%.9g"
+
+
 def _fmt(v) -> str:
-    return f"{float(v):.9g}"
+    return _FLOAT % float(v)
 
 
 # Rows formatted per ``%`` call: a few hundred kB of text at a time.
@@ -43,7 +48,7 @@ def _write_csv(path: Path, header: list[str], rows,
     up to ``_BLOCK`` rows is formatted by one ``%``. A tuple shorter than
     the header leaves its trailing fields empty."""
     n = len(header)
-    full = ",".join(["%.9g"] * n) + "\n"
+    full = ",".join([_FLOAT] * n) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(preamble + ",".join(header) + "\n")
         for i in range(0, len(rows), _BLOCK):
@@ -51,7 +56,7 @@ def _write_csv(path: Path, header: list[str], rows,
             if isinstance(block, np.ndarray):
                 fmt, values = full * len(block), block.ravel().tolist()
             else:
-                fmt = "".join(",".join(["%.9g"] * len(r)) + "," * (n - len(r))
+                fmt = "".join(",".join([_FLOAT] * len(r)) + "," * (n - len(r))
                               + "\n" for r in block)
                 values = [v for r in block for v in r]
             fh.write(fmt % tuple(values))
@@ -62,28 +67,11 @@ def write_state_space_csv(sys_: LinearSystem, path: Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# state-space blocks: 'name,rows,cols' header then row values\n")
         for name, mat in (("A", sys_.A), ("B", sys_.B), ("C", sys_.C)):
-            fh.write(f"{name},{mat.shape[0]},{mat.shape[1]}\n")
-            for row in mat:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            rows, cols = mat.shape
+            fh.write(f"{name},{rows},{cols}\n")
+            fh.write((",".join([_FLOAT] * cols) + "\n") * rows
+                     % tuple(mat.ravel().tolist()))
         fh.write("D,1,1\n0\n")
-
-
-def _require_config(args) -> ProjectConfig:
-    if not args.config:
-        raise ConfigError("this command needs --config pointing to a project "
-                          "INI file")
-    return load_config(args.config)
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _say(args, text: str) -> None:
-    if not args.quiet:
-        print(text)
 
 
 def _loop(cfg: ProjectConfig):
@@ -93,10 +81,8 @@ def _loop(cfg: ProjectConfig):
     return plant, PPFConfig.from_hz(cfg.ppf_freq_hz, cfg.ppf_zeta)
 
 
-def cmd_modes(args) -> int:
+def cmd_modes(args, cfg: ProjectConfig, out: Path, say) -> None:
     """Build the configured modal model and export frequencies and shapes."""
-    cfg = _require_config(args)
-    out = _out_dir(args)
     model = cfg.build_model()
     numbers = range(1, model.n_modes + 1)
     _write_csv(out / "modes.csv",
@@ -108,19 +94,15 @@ def cmd_modes(args) -> int:
     _write_csv(out / "shapes.csv", header, np.column_stack(
         [model.grid] + [m.phi for m in model.modes]
         + [m.theta for m in model.modes]))
-    _say(args, f"{model.source} model, {model.n_modes} modes on "
-               f"{model.grid.size} points over {_fmt(model.length)} m")
+    say(f"{model.source} model, {model.n_modes} modes on "
+        f"{model.grid.size} points over {_fmt(model.length)} m")
     for k, m in zip(numbers, model.modes):
-        _say(args, f"  mode {k}: {_fmt(m.freq_hz)} Hz, "
-                   f"zeta {_fmt(m.zeta)}")
-    _say(args, f"wrote {out / 'modes.csv'} and {out / 'shapes.csv'}")
-    return 0
+        say(f"  mode {k}: {_fmt(m.freq_hz)} Hz, zeta {_fmt(m.zeta)}")
+    say(f"wrote {out / 'modes.csv'} and {out / 'shapes.csv'}")
 
 
-def cmd_coupling(args) -> int:
+def cmd_coupling(args, cfg: ProjectConfig, out: Path, say) -> None:
     """Coupling factor of every mode for the patch at its configured position."""
-    cfg = _require_config(args)
-    out = _out_dir(args)
     model = cfg.build_model()
     results = [coupling_factor(model, cfg.patch, cfg.material, k)
                for k in range(1, model.n_modes + 1)]
@@ -130,20 +112,17 @@ def cmd_coupling(args) -> int:
                [(r.mode_index, model.mode(r.mode_index).freq_hz,
                  r.delta_theta, r.k2, r.f_open_hz, r.relative)
                 for r in results])
-    _say(args, f"patch [{_fmt(cfg.patch.x_start)}, "
-               f"{_fmt(cfg.patch.x_start + cfg.patch.length)}] m")
+    say(f"patch [{_fmt(cfg.patch.x_start)}, "
+        f"{_fmt(cfg.patch.x_start + cfg.patch.length)}] m")
     for r in results:
         note = " (relative scale)" if r.relative else ""
-        _say(args, f"  mode {r.mode_index}: K2 = {_fmt(r.k2)}, open-circuit "
-                   f"{_fmt(r.f_open_hz)} Hz{note}")
-    _say(args, f"wrote {out / 'coupling.csv'}")
-    return 0
+        say(f"  mode {r.mode_index}: K2 = {_fmt(r.k2)}, open-circuit "
+            f"{_fmt(r.f_open_hz)} Hz{note}")
+    say(f"wrote {out / 'coupling.csv'}")
 
 
-def cmd_place(args) -> int:
+def cmd_place(args, cfg: ProjectConfig, out: Path, say) -> None:
     """Scan candidate positions and pick the best patch placement."""
-    cfg = _require_config(args)
-    out = _out_dir(args)
     if cfg.placement_step <= 0.0:
         raise ConfigError("[analysis] step_m is required for the place command")
     model = cfg.build_model()
@@ -157,19 +136,16 @@ def cmd_place(args) -> int:
     _write_csv(out / "scan.csv", header, table)
     _write_csv(out / "placement.csv", header, table[[result.row]])
     if model.source == SOURCE_MEASURED:
-        _say(args, "note: unit-peak shapes, coupling values are comparative only")
-    _say(args, f"scanned {scan.x_starts.size} candidates, step "
-               f"{_fmt(problem.step)} m")
-    _say(args, f"patch at x_start = {_fmt(result.positions[0])} m, "
-               f"objective {_fmt(result.objective)}")
-    _say(args, f"wrote {out / 'scan.csv'} and {out / 'placement.csv'}")
-    return 0
+        say("note: unit-peak shapes, coupling values are comparative only")
+    say(f"scanned {scan.x_starts.size} candidates, step "
+        f"{_fmt(problem.step)} m")
+    say(f"patch at x_start = {_fmt(result.positions[0])} m, "
+        f"objective {_fmt(result.objective)}")
+    say(f"wrote {out / 'scan.csv'} and {out / 'placement.csv'}")
 
 
-def cmd_ppf_design(args) -> int:
+def cmd_ppf_design(args, cfg: ProjectConfig, out: Path, say) -> None:
     """Size the filter against the plant and report the critical gain."""
-    cfg = _require_config(args)
-    out = _out_dir(args)
     plant, filt = _loop(cfg)
     gcrit = critical_gain(plant, filt)
     _write_csv(out / "ppf_summary.csv",
@@ -182,19 +158,15 @@ def cmd_ppf_design(args) -> int:
     write_state_space_csv(plant_system(plant), out / "plant_ss.csv")
     unit_gain = PPFConfig(filt.omega_f, filt.zeta_f, 1.0)
     write_state_space_csv(ppf_controller(unit_gain), out / "controller_ss.csv")
-    _say(args, f"filter at {_fmt(cfg.ppf_freq_hz)} Hz, zeta "
-               f"{_fmt(cfg.ppf_zeta)}")
-    _say(args, f"critical gain {_fmt(gcrit)}")
-    _say(args, f"wrote {out / 'ppf_summary.csv'}, {out / 'plant_modes.csv'}, "
-               f"{out / 'plant_ss.csv'}, {out / 'controller_ss.csv'} "
-               "(controller exported at unit gain)")
-    return 0
+    say(f"filter at {_fmt(cfg.ppf_freq_hz)} Hz, zeta {_fmt(cfg.ppf_zeta)}")
+    say(f"critical gain {_fmt(gcrit)}")
+    say(f"wrote {out / 'ppf_summary.csv'}, {out / 'plant_modes.csv'}, "
+        f"{out / 'plant_ss.csv'}, {out / 'controller_ss.csv'} "
+        "(controller exported at unit gain)")
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, cfg: ProjectConfig, out: Path, say) -> None:
     """Close the loop over the configured gains and report peak damping."""
-    cfg = _require_config(args)
-    out = _out_dir(args)
     if not cfg.gains:
         raise ConfigError("[ppf] gains is required for the sweep command")
     plant, filt = _loop(cfg)
@@ -208,7 +180,7 @@ def cmd_sweep(args) -> int:
                  r.estimate.zeta, r.estimate.damping_pct) for r in rows])
     for k, row in enumerate(rows):
         if not row.stable:
-            _say(args, f"  gain {_fmt(row.gain)}: unstable, no output written")
+            say(f"  gain {_fmt(row.gain)}: unstable, no output written")
             continue
         resp = row.response
         mag_db, phase = bode_table(resp)
@@ -218,19 +190,16 @@ def cmd_sweep(args) -> int:
                    preamble=f"# gain = {_fmt(row.gain)}\n")
         e = row.estimate
         if e is None:
-            _say(args, f"  gain {_fmt(row.gain)}: no half-power estimate")
+            say(f"  gain {_fmt(row.gain)}: no half-power estimate")
             continue
-        _say(args, f"  gain {_fmt(row.gain)}: peak {_fmt(e.f_peak)} Hz, "
-                   f"Q {_fmt(e.q_factor)}, damping {_fmt(e.damping_pct)} %")
-    _say(args, f"wrote {out / 'sweep.csv'} and one Bode file per stable gain")
-    return 0
+        say(f"  gain {_fmt(row.gain)}: peak {_fmt(e.f_peak)} Hz, "
+            f"Q {_fmt(e.q_factor)}, damping {_fmt(e.damping_pct)} %")
+    say(f"wrote {out / 'sweep.csv'} and one Bode file per stable gain")
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args, cfg: ProjectConfig | None, out: Path, say) -> None:
     """Peak table (frequency, Q, damping) of a measured or simulated FRF CSV."""
-    out = _out_dir(args)
     frf = load_frf_csv(args.frf)
-    cfg = load_config(args.config) if args.config else None
     if args.band:
         band = parse_band(args.band, "--band")
     elif cfg is not None:
@@ -251,13 +220,12 @@ def cmd_analyze(args) -> int:
         e = half_power_damping(frf, idx)
         rows.append((e.f_peak, e.peak_mag, e.f_lo, e.f_hi, e.q_factor,
                      e.zeta, e.damping_pct))
-        _say(args, f"  peak {_fmt(e.f_peak)} Hz: Q {_fmt(e.q_factor)}, "
-                   f"damping {_fmt(e.damping_pct)} %")
+        say(f"  peak {_fmt(e.f_peak)} Hz: Q {_fmt(e.q_factor)}, "
+            f"damping {_fmt(e.damping_pct)} %")
     _write_csv(out / "analyze.csv",
                ["f_peak_hz", "peak_mag", "f_lo_hz", "f_hi_hz", "Q", "zeta",
                 "damping_pct"], rows)
-    _say(args, f"wrote {out / 'analyze.csv'}")
-    return 0
+    say(f"wrote {out / 'analyze.csv'}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,7 +292,18 @@ def main(argv=None) -> int:
     if args.verbose:
         log.setLevel(logging.INFO)
     try:
-        return args.func(args)
+        # Every command reads its INI before anything is written.
+        if args.config:
+            cfg = load_config(args.config)
+        elif args.command == "analyze":
+            cfg = None
+        else:
+            raise ConfigError("this command needs --config pointing to a "
+                              "project INI file")
+        out = Path(args.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        args.func(args, cfg, out, (lambda text: None) if args.quiet else print)
+        return 0
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2

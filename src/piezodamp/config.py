@@ -19,8 +19,8 @@ from pathlib import Path
 
 from .errors import ConfigError, InvalidInputError
 from .frf import _check_gains, _check_point_count, _check_prominence
-from .modal import (DEFAULT_DAMPING, SOURCE_ANALYTIC, SOURCE_FE,
-                    SOURCE_MEASURED, BeamProperties, ModalModel,
+from .modal import (DEFAULT_DAMPING, DEFAULT_N_GRID, SOURCE_ANALYTIC,
+                    SOURCE_FE, SOURCE_MEASURED, BeamProperties, ModalModel,
                     _check_mode_count, _measured_lists, _numeral,
                     analytic_cantilever_modes, fe_beam_modes,
                     load_measured_modes)
@@ -102,7 +102,7 @@ _SCHEMA = {
         ("EI_Nm2", BEAM, _float, REQUIRED),
         ("mass_per_length_kgpm", BEAM, _float, REQUIRED),
         ("n_modes", BEAM, _int, REQUIRED, _check_mode_count),
-        ("n_grid", (SOURCE_ANALYTIC,), _int, 201),
+        ("n_grid", (SOURCE_ANALYTIC,), _int, DEFAULT_N_GRID),
         ("n_elements", (SOURCE_FE,), _int, 64),
         ("damping", BEAM, _float, DEFAULT_DAMPING),
         ("shapes_file", MEASURED, _text, None),

@@ -105,8 +105,8 @@ def load_frf_csv(path) -> FRF:
     """Read a measured FRF from CSV.
 
     The header selects the format: ``freq_hz,real,imag`` or
-    ``freq_hz,mag,phase_deg``. Blank and ``#`` lines are skipped. Errors
-    name the offending line.
+    ``freq_hz,mag,phase_deg``, with ``mag`` a linear magnitude >= 0 (not
+    dB). Blank and ``#`` lines are skipped. Errors name the offending line.
     """
     def check_header(header):
         if header not in (["freq_hz", "real", "imag"], ["freq_hz", "mag", "phase_deg"]):
@@ -117,6 +117,11 @@ def load_frf_csv(path) -> FRF:
     header, data = _read_csv(path, check_header, min_rows=2)
     freqs = data[:, 0].copy()
     if header[1] == "mag":
+        negative = np.flatnonzero(data[:, 1] < 0.0)
+        if negative.size:
+            raise ParseError(
+                f"{path}: mag must be a linear magnitude >= 0, not dB; row "
+                f"{negative[0] + 1} of the data violates this")
         vals = data[:, 1] * np.exp(1j * np.radians(data[:, 2]))
     else:  # (real, imag) pairs are the memory layout of complex128
         vals = data[:, 1:].copy().view(complex)[:, 0]

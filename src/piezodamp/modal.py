@@ -28,6 +28,7 @@ SOURCE_FE = "finite_element"
 SOURCE_MEASURED = "measured"
 
 DEFAULT_DAMPING = 0.005
+DEFAULT_N_GRID = 201
 
 
 def _check_damping(zetas, what: str) -> None:
@@ -210,7 +211,7 @@ def _check_mode_count(n_modes: int) -> None:
 
 
 def analytic_cantilever_modes(props: BeamProperties, n_modes: int,
-                              n_grid: int = 201) -> ModalModel:
+                              n_grid: int = DEFAULT_N_GRID) -> ModalModel:
     """Clamped-free Euler-Bernoulli modes, mass normalized.
 
     Frequencies come from the characteristic equation and are independent of

@@ -508,6 +508,25 @@ def test_cli_refuses_misspelt_keys_naming_the_first(gripper_ini, tmp_path,
         pd.load_config(ini)
 
 
+@pytest.mark.parametrize("sub, frf", [(sub, None) for sub in SUBCOMMANDS] + [
+    ("analyze", "gripper_frf.csv"),
+    # A bad record as well: the INI's error still comes first.
+    ("analyze", "bad_frf.csv")])
+def test_cli_reads_the_ini_before_it_writes(sub, frf, gripper_ini, tmp_path,
+                                            capsys):
+    project = tmp_path / "project"
+    shutil.copytree(gripper_ini.parent, project)
+    (project / "bad_frf.csv").write_text("freq_hz,real,imag\n1,2,3\n")
+    ini = project / "typo.ini"
+    ini.write_text(gripper_ini.read_text() + "n_freqs = 21\n")
+    out = tmp_path / "out"
+    argv = [sub, "--config", str(ini), "--out-dir", str(out), "--quiet"]
+    assert _run(argv + (["--frf", str(project / frf)] if frf else [])) == 1
+    assert capsys.readouterr().err == (
+        "error: [analysis] unknown key 'n_freqs'; did you mean 'n_freq'?\n")
+    assert not out.exists()
+
+
 def test_cli_notes_retired_keys_only_with_verbose(gripper_ini, tmp_path,
                                                   capsys):
     shutil.copy(gripper_ini.parent / "gripper_shapes.csv", tmp_path)
@@ -971,7 +990,7 @@ def test_cli_exit_code_data_error(gripper_frf_csv, tmp_path, capsys):
 
 def test_cli_exit_code_numerical_error(monkeypatch, gripper_ini, tmp_path,
                                        capsys):
-    def boom(args):
+    def boom(*_):
         raise NumericalError("synthetic failure")
 
     monkeypatch.setattr(cli, "cmd_modes", boom)
@@ -992,7 +1011,7 @@ def test_cli_maps_every_error_class_to_its_exit_code(name, monkeypatch,
                                                      capsys):
     error = getattr(pd, name)
 
-    def boom(args):
+    def boom(*_):
         raise error("synthetic failure")
 
     monkeypatch.setattr(cli, "cmd_modes", boom)

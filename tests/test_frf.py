@@ -138,6 +138,28 @@ def test_load_polar_format(tmp_path):
     np.testing.assert_allclose(frf.values[2], -0.5, atol=1e-12)
 
 
+def test_load_polar_format_refuses_a_magnitude_in_db(tmp_path):
+    # Two modes in dB: read as a linear magnitude, the anti-resonance between
+    # them, the most negative dB value, would pass for a peak.
+    plant = pd.ModalPlant([2.0 * np.pi * 58.0, 2.0 * np.pi * 76.0],
+                          [0.01, 0.01], [1.0, 1.0])
+    frf = pd.frf_of(pd.plant_system(plant), np.linspace(40.0, 110.0, 4001))
+    f = tmp_path / "db.csv"
+    with open(f, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("freq_hz,mag,phase_deg\n")
+        for freq, v in zip(frf.freqs_hz, frf.values):
+            fh.write(f"{freq:.9g},{20.0 * np.log10(abs(v)):.9g},"
+                     f"{np.degrees(np.angle(v)):.9g}\n")
+    with pytest.raises(ParseError, match=re.escape(
+            f"{f}: mag must be a linear magnitude >= 0, not dB; row 1 of the "
+            "data violates this")):
+        pd.load_frf_csv(f)
+    f.write_text("# comment line\nfreq_hz,mag,phase_deg\n"
+                 "10,2.0,0\n20,0,-90\n30,-0.5,180\n")
+    with pytest.raises(ParseError, match="row 3 of the data"):
+        pd.load_frf_csv(f)
+
+
 def test_load_frf_errors(tmp_path):
     f = tmp_path / "bad.csv"
     f.write_text("freq_hz,magnitude\n1,2\n2,3\n")
