@@ -20,8 +20,8 @@ import numpy as np
 from .config import ProjectConfig, load_config, parse_band
 from .errors import (ConfigError, InvalidInputError, NumericalError,
                      PiezodampError)
-from .frf import (bode_table, find_peaks, gain_sweep, half_power_damping,
-                  load_frf_csv)
+from .frf import (DEFAULT_PEAK_PROMINENCE_DB, bode_table, find_peaks,
+                  gain_sweep, half_power_damping, load_frf_csv)
 from .modal import SOURCE_MEASURED, TWO_PI, _numeral
 from .piezo import coupling_factor
 from .placement import PlacementProblem, optimize_placement
@@ -209,7 +209,8 @@ def cmd_analyze(args, cfg: ProjectConfig | None, out: Path, say) -> None:
                                 "[analysis] band_hz")
     prom = args.min_prominence_db
     if prom is None:
-        prom = 3.0 if cfg is None else cfg.min_prominence_db
+        prom = (DEFAULT_PEAK_PROMINENCE_DB if cfg is None
+                else cfg.min_prominence_db)
     peaks = find_peaks(frf, band, prom)
     if not peaks:
         raise InvalidInputError(
@@ -265,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--min-prominence-db", type=float, default=None,
                     help="peak prominence threshold in dB (default: "
                          "[analysis] min_prominence_db with --config, "
-                         "else 3)")
+                         f"else {DEFAULT_PEAK_PROMINENCE_DB:g})")
     return parser
 
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, InvalidInputError
-from .frf import _check_gains, _check_point_count, _check_prominence
+from .frf import (DEFAULT_SWEEP_PROMINENCE_DB, _check_gains,
+                  _check_point_count, _check_prominence)
 from .modal import (DEFAULT_DAMPING, DEFAULT_N_GRID, SOURCE_ANALYTIC,
                     SOURCE_FE, SOURCE_MEASURED, BeamProperties, ModalModel,
                     _check_mode_count, _measured_lists, _numeral,
@@ -123,7 +124,8 @@ _SCHEMA = {
     "analysis": [
         ("band_hz", ALL, parse_band, REQUIRED),
         ("n_freq", ALL, _int, 2001, _check_point_count),
-        ("min_prominence_db", ALL, _float, 1.0, _check_prominence),
+        ("min_prominence_db", ALL, _float, DEFAULT_SWEEP_PROMINENCE_DB,
+         _check_prominence),
         ("step_m", ALL, _float, 0.0, _check_step),
         ("n_patches", ALL, _int, 1),
         ("mode_weights", ALL, _weights, None),
@@ -192,7 +194,7 @@ def load_config(path) -> ProjectConfig:
     cp = configparser.ConfigParser(interpolation=None,
                                    inline_comment_prefixes=("#",))
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             cp.read_file(fh, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None

@@ -15,6 +15,10 @@ from .ppf import (LinearSystem, ModalPlant, PPFConfig, close_loop,
                   plant_system, ppf_controller, stability)
 
 log = logging.getLogger(__name__)
+# Default least peak prominences in dB: find_peaks's, which analyze uses
+# without an INI, and gain_sweep's, the INI's [analysis] min_prominence_db.
+DEFAULT_PEAK_PROMINENCE_DB = 3.0
+DEFAULT_SWEEP_PROMINENCE_DB = 1.0
 
 
 @dataclass
@@ -125,13 +129,17 @@ def load_frf_csv(path) -> FRF:
         vals = data[:, 1] * np.exp(1j * np.radians(data[:, 2]))
     else:  # (real, imag) pairs are the memory layout of complex128
         vals = data[:, 1:].copy().view(complex)[:, 0]
-    if freqs[0] <= 0.0 or np.any(np.diff(freqs) <= 0.0):
+    # The first difference from 0 Hz is the first frequency itself.
+    falls = np.flatnonzero(np.diff(freqs, prepend=0.0) <= 0.0)
+    if falls.size:
         raise ParseError(
-            f"{path}: freq_hz must be positive and strictly increasing")
+            f"{path}: freq_hz must be positive and strictly increasing; row "
+            f"{falls[0] + 1} of the data violates this")
     return FRF(freqs, vals)
 
 
-def find_peaks(frf: FRF, band_hz, min_prominence_db: float = 3.0) -> list[int]:
+def find_peaks(frf: FRF, band_hz,
+               min_prominence_db: float = DEFAULT_PEAK_PROMINENCE_DB) -> list[int]:
     """Indices of interior local maxima of |H| inside the band whose
     prominence on the dB scale reaches the threshold.
 
@@ -339,7 +347,8 @@ class SweepRow:
 
 
 def gain_sweep(plant: ModalPlant, cfg: PPFConfig, gains, freqs_hz=None,
-               min_prominence_db: float = 1.0) -> list[SweepRow]:
+               min_prominence_db: float = DEFAULT_SWEEP_PROMINENCE_DB
+               ) -> list[SweepRow]:
     """Close the loop at each gain and report the dominant in-band peak.
 
     Stable rows carry the closed-loop response and a half-power estimate of

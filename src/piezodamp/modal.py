@@ -464,17 +464,18 @@ def _subspace_iteration(me: np.ndarray, X: np.ndarray, n_modes: int):
 def _read_csv(path, check_header, min_rows: int):
     """Header fields and (rows, fields) float data of a UTF-8 CSV table.
 
-    Blank and ``#`` lines are skipped; the first other line is the header
-    and each later one holds one finite number per header field. One
-    ``np.loadtxt`` pass parses the open file after the header. Only if it
-    refuses a line (a ``#`` or whitespace-only one, or a bad row) are the
-    filtered lines parsed again, and only if the numbers are still wrong is
-    the file walked to name the first bad line, its column and token.
-    Errors from ``check_header`` come first, then the row count, then the
-    bad line.
+    A leading byte-order mark and blank and ``#`` lines are skipped; the
+    first other line is the header and each later one holds one finite
+    number per header field. One ``np.loadtxt`` pass parses the open file
+    after the header. Only if it refuses a line (a ``#`` or whitespace-only
+    one, or a bad row) are the filtered lines parsed again, and only if the
+    numbers are still wrong is the file walked to name the first bad line,
+    its column and token. Errors from ``check_header`` come first, then the
+    row count, then the bad line.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+        # utf-8-sig drops a leading byte-order mark, again after seek(0).
+        with open(path, "r", encoding="utf-8-sig") as fh, warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             first = next(_content_lines(fh), None)
             if first is None:

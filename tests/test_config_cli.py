@@ -894,24 +894,46 @@ def test_cli_deterministic_outputs(gripper_ini, gripper_frf_csv, tmp_path):
     assert mismatch == [] and errors == []
 
 
-def test_cli_gripper_outputs_match_golden_hashes(gripper_ini, gripper_frf_csv,
-                                                tmp_path):
-    # fixtures/gripper/expected.sha256 pins every gripper output byte for
-    # byte, in the format ``sha256sum -c`` reads. Any warning fails the run.
-    out = tmp_path / "out"
+def _golden_hash_mismatches(ini, frf_csv, out, golden):
+    """The gripper outputs of all six subcommands on ``ini`` and ``frf_csv``
+    that differ from, or are missing in, the ``golden`` sha256sum file."""
     for sub in SUBCOMMANDS:
-        assert _run([sub, "--config", str(gripper_ini), "--out-dir", str(out),
+        assert _run([sub, "--config", str(ini), "--out-dir", str(out),
                      "--quiet"]) == 0
-    assert _run(["analyze", "--frf", str(gripper_frf_csv), "--band", "50,90",
+    assert _run(["analyze", "--frf", str(frf_csv), "--band", "50,90",
                  "--out-dir", str(out), "--quiet"]) == 0
     expected = {}
-    for line in (gripper_ini.parent / "expected.sha256").read_text().splitlines():
+    for line in golden.read_text().splitlines():
         digest, name = line.split(maxsplit=1)
         expected[name] = digest
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in out.iterdir()}
-    differ = sorted(n for n in expected.keys() | got.keys()
-                    if expected.get(n) != got.get(n))
+    return sorted(n for n in expected.keys() | got.keys()
+                  if expected.get(n) != got.get(n))
+
+
+def test_cli_gripper_outputs_match_golden_hashes(gripper_ini, gripper_frf_csv,
+                                                tmp_path):
+    # fixtures/gripper/expected.sha256 pins every gripper output byte for
+    # byte, in the format ``sha256sum -c`` reads. Any warning fails the run.
+    differ = _golden_hash_mismatches(gripper_ini, gripper_frf_csv,
+                                     tmp_path / "out",
+                                     gripper_ini.parent / "expected.sha256")
+    assert differ == [], f"outputs differ from expected.sha256: {differ}"
+
+
+def test_cli_reads_inputs_that_start_with_a_byte_order_mark(gripper_ini,
+                                                            tmp_path):
+    # Excel's "CSV UTF-8" and Notepad write EF BB BF first; it must not hide
+    # a comment's '#', a header or the INI's first section.
+    fixtures = gripper_ini.parent
+    for name in ("gripper.ini", "gripper_shapes.csv", "gripper_frf.csv"):
+        (tmp_path / name).write_bytes(
+            b"\xef\xbb\xbf" + (fixtures / name).read_bytes())
+    differ = _golden_hash_mismatches(tmp_path / "gripper.ini",
+                                     tmp_path / "gripper_frf.csv",
+                                     tmp_path / "out",
+                                     fixtures / "expected.sha256")
     assert differ == [], f"outputs differ from expected.sha256: {differ}"
 
 

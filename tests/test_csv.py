@@ -120,6 +120,18 @@ def test_reader_matches_row_walk(tmp_path_factory, content, min_rows):
         assert "_" in token or not token.isascii()
 
 
+@settings(max_examples=100, deadline=None)
+@given(content=_tables(), min_rows=st.sampled_from([1, 2, 8]))
+def test_reader_skips_a_byte_order_mark(tmp_path_factory, content, min_rows):
+    # Excel's "CSV UTF-8" and Notepad start the file with EF BB BF. The
+    # outcome, line numbers of errors included, is that of the plain file.
+    path = tmp_path_factory.getbasetemp() / "table.csv"
+    path.write_bytes(content)
+    plain = _outcome(_read_csv, path, _check_header, min_rows)
+    path.write_bytes(b"\xef\xbb\xbf" + content)
+    assert _outcome(_read_csv, path, _check_header, min_rows) == plain
+
+
 @settings(max_examples=300, deadline=None)
 @given(token=_FIELDS)
 @example(token="2_001")

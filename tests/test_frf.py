@@ -185,6 +185,20 @@ def test_load_frf_errors(tmp_path):
         pd.load_frf_csv(f)
 
 
+@pytest.mark.parametrize("rows, bad", [
+    ("3,1,0\n2,1,0\n1,1,0\n", 2), ("1,1,0\n2,1,0\n2,1,0\n", 3),
+    ("# note\n0,1,0\n1,1,0\n", 1), ("-2,1,0\n-1,1,0\n", 1)])
+def test_load_frf_names_the_first_row_not_above_the_last(tmp_path, rows, bad):
+    # Row 1 is compared with 0 Hz; as for mag and x_m, the row counts data
+    # lines only.
+    f = tmp_path / "dec.csv"
+    f.write_text("freq_hz,real,imag\n" + rows)
+    with pytest.raises(ParseError, match=re.escape(
+            f"{f}: freq_hz must be positive and strictly increasing; row "
+            f"{bad} of the data violates this")):
+        pd.load_frf_csv(f)
+
+
 def test_find_peaks_two_modes():
     plant = pd.ModalPlant([2.0 * np.pi * 40.0, 2.0 * np.pi * 80.0],
                           [0.01, 0.01], [1.0, 0.8])
