@@ -20,9 +20,9 @@ import numpy as np
 from .config import ProjectConfig, load_config, parse_band
 from .errors import (ConfigError, InvalidInputError, NumericalError,
                      PiezodampError)
-from .frf import (DEFAULT_PEAK_PROMINENCE_DB, bode_table, find_peaks,
-                  gain_sweep, half_power_damping, load_frf_csv)
-from .modal import SOURCE_MEASURED, TWO_PI, _numeral
+from .frf import (bode_table, find_peaks, gain_sweep, half_power_damping,
+                  load_frf_csv)
+from .modal import SOURCE_MEASURED, TWO_PI
 from .piezo import coupling_factor
 from .placement import PlacementProblem, optimize_placement
 from .ppf import (LinearSystem, PPFConfig, build_plant, critical_gain,
@@ -171,8 +171,7 @@ def cmd_sweep(args, cfg: ProjectConfig, out: Path, say) -> None:
         raise ConfigError("[ppf] gains is required for the sweep command")
     plant, filt = _loop(cfg)
     freqs = np.linspace(cfg.band_hz[0], cfg.band_hz[1], cfg.n_freq)
-    rows = gain_sweep(plant, filt, cfg.gains, freqs_hz=freqs,
-                      min_prominence_db=cfg.min_prominence_db)
+    rows = gain_sweep(plant, filt, cfg.gains, freqs_hz=freqs)
     _write_csv(out / "sweep.csv",
                ["gain", "stable", "f_peak_hz", "Q", "zeta", "damping_pct"],
                [(r.gain, r.stable) if r.estimate is None else
@@ -207,15 +206,11 @@ def cmd_analyze(args, cfg: ProjectConfig | None, out: Path, say) -> None:
     else:
         raise InvalidInputError("analyze needs --band or a --config with an "
                                 "[analysis] band_hz")
-    prom = args.min_prominence_db
-    if prom is None:
-        prom = (DEFAULT_PEAK_PROMINENCE_DB if cfg is None
-                else cfg.min_prominence_db)
-    peaks = find_peaks(frf, band, prom)
+    peaks = find_peaks(frf, band)
     if not peaks:
         raise InvalidInputError(
-            f"no peaks with prominence >= {prom:g} dB found in "
-            f"[{band[0]:g}, {band[1]:g}] Hz")
+            f"no peaks in [{band[0]:g}, {band[1]:g}] Hz reach the half-power "
+            "level")
     rows = []
     for idx in peaks:
         e = half_power_damping(frf, idx)
@@ -259,14 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
             ("analyze", cmd_analyze, "peak table of an FRF CSV file")):
         sub.add_parser(name, parents=[shared], help=text).set_defaults(func=func)
     an = sub.choices["analyze"]
-    # type=float reads through _numeral; its refusal still says "float".
-    an.register("type", float, _numeral)
     an.add_argument("--frf", required=True, help="FRF CSV file to analyze")
     an.add_argument("--band", default=None, help="frequency band 'lo,hi' in Hz")
-    an.add_argument("--min-prominence-db", type=float, default=None,
-                    help="peak prominence threshold in dB (default: "
-                         "[analysis] min_prominence_db with --config, "
-                         f"else {DEFAULT_PEAK_PROMINENCE_DB:g})")
     return parser
 
 

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, InvalidInputError
-from .frf import (DEFAULT_SWEEP_PROMINENCE_DB, _check_gains,
-                  _check_point_count, _check_prominence)
+from .frf import _check_gains, _check_point_count
 from .modal import (DEFAULT_DAMPING, DEFAULT_N_GRID, SOURCE_ANALYTIC,
                     SOURCE_FE, SOURCE_MEASURED, BeamProperties, ModalModel,
                     _check_mode_count, _measured_lists, _numeral,
@@ -124,13 +123,13 @@ _SCHEMA = {
     "analysis": [
         ("band_hz", ALL, parse_band, REQUIRED),
         ("n_freq", ALL, _int, 2001, _check_point_count),
-        ("min_prominence_db", ALL, _float, DEFAULT_SWEEP_PROMINENCE_DB,
-         _check_prominence),
         ("step_m", ALL, _float, 0.0, _check_step),
         ("n_patches", ALL, _int, 1),
         ("mode_weights", ALL, _weights, None),
         ("min_gap_m", ALL, None, None),  # from multi-patch placement
-        ("target_mode", ALL, None, None)],  # the benchmark INIs write it
+        ("target_mode", ALL, None, None),  # the benchmark INIs write it
+        # find_peaks reports the peaks that reach the half-power level.
+        ("min_prominence_db", ALL, None, None)],
 }
 
 
@@ -177,7 +176,6 @@ class ProjectConfig:
     gains: list[float]
     band_hz: tuple[float, float]
     n_freq: int
-    min_prominence_db: float
     placement_step: float
     mode_weights: dict[int, float]
 
@@ -246,4 +244,4 @@ def load_config(path) -> ProjectConfig:
     _checked("analysis", _check_mode_weights, weights, n_modes)
     return ProjectConfig(source, structure, material, patch, freq, zeta,
                          list(gains), an["band_hz"], an["n_freq"],
-                         an["min_prominence_db"], an["step_m"], weights)
+                         an["step_m"], weights)

@@ -15,10 +15,6 @@ from .ppf import (LinearSystem, ModalPlant, PPFConfig, close_loop,
                   plant_system, ppf_controller, stability)
 
 log = logging.getLogger(__name__)
-# Default least peak prominences in dB: find_peaks's, which analyze uses
-# without an INI, and gain_sweep's, the INI's [analysis] min_prominence_db.
-DEFAULT_PEAK_PROMINENCE_DB = 3.0
-DEFAULT_SWEEP_PROMINENCE_DB = 1.0
 
 
 @dataclass
@@ -138,15 +134,16 @@ def load_frf_csv(path) -> FRF:
     return FRF(freqs, vals)
 
 
-def find_peaks(frf: FRF, band_hz,
-               min_prominence_db: float = DEFAULT_PEAK_PROMINENCE_DB) -> list[int]:
-    """Indices of interior local maxima of |H| inside the band whose
-    prominence on the dB scale reaches the threshold.
+def find_peaks(frf: FRF, band_hz) -> list[int]:
+    """Indices of the interior local maxima of |H| inside the band that a
+    half-power estimate can be read from: those whose prominence on the dB
+    scale reaches the half-power level, 10 log10 2 = 3.01 dB.
 
-    Record boundaries are never reported as peaks. Flagged samples inside
-    the band are rejected; re-run the response on a shifted grid instead.
+    Below that level one half-power crossing lies past the record end or past
+    a higher sample. Record boundaries are never reported as peaks. Flagged
+    samples inside the band are rejected; re-run the response on a shifted
+    grid instead.
     """
-    _check_prominence(min_prominence_db)
     lo, hi = float(band_hz[0]), float(band_hz[1])
     f = frf.freqs_hz
     if lo >= hi:
@@ -163,20 +160,18 @@ def find_peaks(frf: FRF, band_hz,
         raise InvalidInputError(
             "the band contains flagged (singular) samples; re-evaluate the "
             "response on a shifted grid")
-    peaks = _prominent_peaks(_db(np.abs(frf.values)), min_prominence_db)
+    peaks = _prominent_peaks(_db(np.abs(frf.values)), _HALF_POWER_DB)
     return [int(i) for i in peaks if in_band[i]]
-
-
-def _check_prominence(min_prominence_db: float) -> None:
-    if not 0.0 < min_prominence_db < np.inf:
-        raise InvalidInputError(
-            f"min_prominence_db must be positive and finite, got "
-            f"{min_prominence_db:g}")
 
 
 def _db(mag):
     """|H| in dB, the scale ``find_peaks`` compares samples on."""
     return 20.0 * np.log10(np.maximum(mag, 1e-300))
+
+
+# The half-power level below a peak in dB, 10 log10 2 = 3.01 dB: the least
+# prominence of a peak that ``find_peaks`` reports.
+_HALF_POWER_DB = float(_db(np.sqrt(2.0)))
 
 
 def _prominent_peaks(x, min_prominence: float) -> np.ndarray:
@@ -280,7 +275,8 @@ def half_power_damping(frf: FRF, peak_index: int) -> DampingEstimate:
     of the peak; one exactly at that level, or inf, counts as above it. Each
     crossing is interpolated linearly towards the peak from a sample that must
     not be flagged. A side with no other sample above the level is not
-    resolved and raises ``InvalidInputError``.
+    resolved, and a band that holds a sample above the peak spans a higher
+    peak; both raise ``InvalidInputError``.
     """
     mag = np.abs(frf.values)
     f = frf.freqs_hz
@@ -314,6 +310,12 @@ def half_power_damping(frf: FRF, peak_index: int) -> DampingEstimate:
             raise InvalidInputError(
                 f"the sample at {f[s]:g} Hz next to a half-power crossing is "
                 "flagged (singular); re-evaluate the response on a shifted grid")
+    higher = np.flatnonzero(_db(mag[a + 1:b]) > top)  # on find_peaks' scale
+    if higher.size:
+        raise InvalidInputError(
+            f"the sample at {f[a + 1 + higher[0]]:g} Hz lies above the peak at "
+            f"{f[i]:g} Hz inside its half-power band; the band spans a higher "
+            "peak")
     f_lo = f[a] + (thr - mag[a]) * (f[a + 1] - f[a]) / (mag[a + 1] - mag[a])
     f_hi = f[b - 1] + (thr - mag[b - 1]) * (f[b] - f[b - 1]) / (mag[b] - mag[b - 1])
     return DampingEstimate(float(f[i]), peak, float(f_lo), float(f_hi))
@@ -346,23 +348,22 @@ class SweepRow:
         return self.response is not None
 
 
-def gain_sweep(plant: ModalPlant, cfg: PPFConfig, gains, freqs_hz=None,
-               min_prominence_db: float = DEFAULT_SWEEP_PROMINENCE_DB
-               ) -> list[SweepRow]:
+def gain_sweep(plant: ModalPlant, cfg: PPFConfig, gains,
+               freqs_hz=None) -> list[SweepRow]:
     """Close the loop at each gain and report the dominant in-band peak.
 
     Stable rows carry the closed-loop response and a half-power estimate of
-    its dominant in-band peak, or None with a logged warning when no peak
-    yields one; unstable rows are flagged and skipped. The grid defaults to
-    2001 points over [0.8, 1.2] times the frequency of the plant mode
-    closest to the filter. The gain of ``cfg`` is ignored in favour of the
-    swept values; ``SweepRow`` says what each row keeps in memory.
+    its highest peak that ``find_peaks`` reports, or None with a logged
+    warning when there is none or it yields no estimate; unstable rows are
+    flagged and skipped. The grid defaults to 2001 points over [0.8, 1.2]
+    times the frequency of the plant mode closest to the filter. The gain of
+    ``cfg`` is ignored in favour of the swept values; ``SweepRow`` says what
+    each row keeps in memory.
     """
     gain_list = [float(g) for g in gains]
     if not gain_list:
         raise InvalidInputError("at least one gain is required")
     _check_gains(gain_list)
-    _check_prominence(min_prominence_db)
     if freqs_hz is None:
         nearest = plant.omegas[np.argmin(np.abs(plant.omegas - cfg.omega_f))]
         freqs_hz = default_frequency_grid(nearest / TWO_PI)
@@ -376,12 +377,10 @@ def gain_sweep(plant: ModalPlant, cfg: PPFConfig, gains, freqs_hz=None,
         resp = closed_loop_frf(plant, loop, freqs_hz)
         estimate = None
         try:
-            peaks = find_peaks(resp, (resp.freqs_hz[0], resp.freqs_hz[-1]),
-                               min_prominence_db)
+            peaks = find_peaks(resp, (resp.freqs_hz[0], resp.freqs_hz[-1]))
             if not peaks:
-                log.warning("gain %g: no half-power estimate: no resonance peak "
-                            "found; widen the band or lower the prominence "
-                            "threshold", g)
+                log.warning("gain %g: no half-power estimate: no peak reaches "
+                            "the half-power level; widen the band", g)
             else:
                 mag = np.abs(resp.values)
                 estimate = half_power_damping(resp, max(peaks, key=lambda k: mag[k]))

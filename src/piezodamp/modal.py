@@ -549,11 +549,11 @@ def _numeral(text: str, kind=float):
 
 
 def _measured_lists(frequencies_hz, damping=None):
-    """Float lists of the frequencies (Hz), at least one, each positive and
-    listed once, and of their damping ratios, one per frequency, each in
-    [0, 1)."""
+    """Float lists of the frequencies (Hz), at least one, each positive,
+    finite and listed once, and of their damping ratios, one per frequency,
+    each in [0, 1)."""
     freqs = [float(f) for f in np.atleast_1d(frequencies_hz)]
-    if not freqs or any(f <= 0.0 for f in freqs):
+    if not freqs or not all(0.0 < f < np.inf for f in freqs):
         raise InvalidInputError("frequencies_hz must list positive frequencies")
     for k, f in enumerate(freqs):
         if f in freqs[:k]:
@@ -574,7 +574,7 @@ def load_measured_modes(path, frequencies_hz, damping=None,
 
     The file holds a header ``x_m,mode1,mode2,...`` followed by at least 8
     rows; blank and ``#`` lines are skipped. ``frequencies_hz`` gives one
-    positive natural frequency (Hz) per shape column, none twice, and
+    positive, finite natural frequency (Hz) per shape column, none twice, and
     ``damping`` optional per-mode ratios (default 0.005); both are checked
     before the file is read. Shapes are scaled to unit peak and modal mass is
     pinned to 1, so coupling factors computed from this model are comparative

@@ -20,6 +20,10 @@ from . import _kernels
 from .errors import InvalidInputError
 from .modal import ModalModel, SOURCE_MEASURED, TWO_PI
 
+# A patch fits when it overhangs the structure by at most this fraction of
+# the structure length, which absorbs rounding in x_start + length.
+_FIT_TOL = 1e-9
+
 
 @dataclass
 class PiezoMaterial:
@@ -123,13 +127,13 @@ def delta_thetas(model: ModalModel, patch_length: float,
         raise InvalidInputError(
             f"x_start = {starts[~np.isfinite(starts)][0]:g} m is not finite")
     L = model.length
-    tol = 1e-9 * L
+    tol = _FIT_TOL * L
     outside = (starts < -tol) | (starts + patch_length > L + tol)
     if np.any(outside):
         i = int(np.flatnonzero(outside)[0])
         raise InvalidInputError(
-            f"patch [{starts[i]:g}, {starts[i] + patch_length:g}] m falls outside "
-            f"the 0..{L:g} m grid")
+            f"patch [{starts[i]:.12g}, {starts[i] + patch_length:.12g}] m "
+            f"falls outside the 0..{L:.12g} m grid")
     ends = starts + patch_length
     cell_a = np.searchsorted(x, starts, side="right") - 1
     cell_e = np.searchsorted(x, ends, side="right") - 1

@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .modal import ModalModel
-from .piezo import (PatchGeometry, PiezoMaterial, coupling_coefficients,
-                    delta_thetas)
+from .piezo import (PatchGeometry, PiezoMaterial, _FIT_TOL,
+                    coupling_coefficients, delta_thetas)
 
 
 @dataclass
@@ -82,14 +82,14 @@ class PlacementResult:
 
 def candidate_positions(problem: PlacementProblem) -> np.ndarray:
     """The scan grid 0, step, 2*step, ... limited to positions where the
-    patch still fits on the structure."""
+    patch still fits on the structure, as ``delta_thetas`` decides it."""
     L = problem.model.length
     limit = L - problem.patch.length
-    if limit < -1e-12 * L:
+    if limit < -_FIT_TOL * L:
         raise InvalidInputError(
-            f"patch length {problem.patch.length:g} m exceeds the structure "
-            f"length {L:g} m; no feasible position")
-    n = int(np.floor(limit / problem.step + 1e-9)) + 1
+            f"patch length {problem.patch.length:.12g} m exceeds the structure "
+            f"length {L:.12g} m; no feasible position")
+    n = int(np.floor(max(limit, 0.0) / problem.step + 1e-9)) + 1
     return problem.step * np.arange(n)
 
 

@@ -148,9 +148,6 @@ def test_config_errors(tmp_path, gripper_ini):
              r"\[ppf\]: gains must be finite and >= 0"),
             ("step_m = 0.1", "step_m = 0.1\nn_freq = 1",
              r"\[analysis\]: need at least two frequency points"),
-            ("step_m = 0.1", "step_m = 0.1\nmin_prominence_db = 0",
-             r"\[analysis\]: min_prominence_db must be positive and finite, "
-             r"got 0"),
             ("step_m = 0.1", "step_m = 0",
              r"\[analysis\]: step must be positive and finite"),
             ("step_m = 0.1", "step_m = 0.1\nn_patches = 0",
@@ -229,11 +226,6 @@ def test_every_number_reader_refuses_what_the_csv_reader_refuses(
     assert _run(analyze + ["--band", f"50,{token}"]) == 1
     assert capsys.readouterr().err == (
         "error: --band must be 'lo,hi' in Hz with 0 < lo < hi\n")
-    assert _run(analyze + ["--band", "50,90", "--min-prominence-db",
-                           token]) == 1
-    assert capsys.readouterr().err.endswith(
-        f"error: argument --min-prominence-db: invalid float value: "
-        f"{token!r}\n")
 
 
 def test_config_patch_z_offset(tmp_path):
@@ -288,7 +280,6 @@ def test_load_config_with_one_arbitrary_value_raises_only_toolkit_errors(
 
 _GAINS = st.lists(st.floats() | st.sampled_from([0.0, 1.0, 1e308]),
                   min_size=1, max_size=5)
-_PROMINENCE = st.floats() | st.sampled_from([0.0, 1e-300, 1.0])
 _WEIGHTS = st.none() | st.dictionaries(
     st.integers(-1, 4), st.floats() | st.sampled_from([0.0, -0.0, 1.0]),
     max_size=4)
@@ -306,21 +297,17 @@ _DAMPING = st.none() | st.lists(
 
 
 @settings(max_examples=300, deadline=None)
-@given(part=st.sampled_from(["gains", "prominence", "modes"]), gains=_GAINS,
-       prominence=_PROMINENCE, weights=_WEIGHTS, frequencies=_FREQUENCIES,
-       damping=_DAMPING)
+@given(part=st.sampled_from(["gains", "modes"]), gains=_GAINS,
+       weights=_WEIGHTS, frequencies=_FREQUENCIES, damping=_DAMPING)
 def test_load_config_refuses_what_gain_sweep_and_find_peaks_refuse(
-        tmp_path_factory, part, gains, prominence, weights, frequencies,
-        damping):
-    # One rule set: the INI's [ppf] gains, [analysis] min_prominence_db and
-    # mode_weights and the measured [structure] lists are refused exactly
-    # when the library functions and types that use them refuse them. One
-    # part is drawn and the others are valid, so each rule shows on its own;
-    # the mode weights are drawn with the lists that set the mode count.
+        tmp_path_factory, part, gains, weights, frequencies, damping):
+    # One rule set: the INI's [ppf] gains, [analysis] mode_weights and the
+    # measured [structure] lists are refused exactly when the library
+    # functions and types that use them refuse them. One part is drawn and
+    # the others are valid, so each rule shows on its own; the mode weights
+    # are drawn with the lists that set the mode count.
     if part != "gains":
         gains = [1.0, 2.0]
-    if part != "prominence":
-        prominence = 1.0
     if part != "modes":
         weights, frequencies, damping = None, [10.0, 20.0], None
     root = tmp_path_factory.mktemp("rules")
@@ -331,17 +318,12 @@ def test_load_config_refuses_what_gain_sweep_and_find_peaks_refuse(
                delimiter=",", comments="",
                header=",".join(["x_m"] + [f"mode{k + 1}" for k in range(n_modes)]))
     plant = pd.ModalPlant([10.0], [0.05], [1.0])
-    frf = pd.FRF([1.0, 2.0, 3.0], [1.0, 2.0, 1.0])
     material = pd.PiezoMaterial(-1.8e-10, 1.6e-11, 1.6e-8)
     patch = pd.PatchGeometry.on_host(0.1, 0.02, 0.0005, 0.002)
     library_refuses = False
     try:
         pd.gain_sweep(plant, pd.PPFConfig(10.0, 0.3), gains,
                       freqs_hz=[1.0, 1.5, 2.0])
-    except InvalidInputError:
-        library_refuses = True
-    try:
-        pd.find_peaks(frf, (1.0, 3.0), prominence)
     except InvalidInputError:
         library_refuses = True
     try:
@@ -361,7 +343,7 @@ def test_load_config_refuses_what_gain_sweep_and_find_peaks_refuse(
                  "frequencies_hz = " + ", ".join(map(repr, frequencies)) + "\n")
     if damping is not None:
         structure += "damping = " + ", ".join(map(repr, damping)) + "\n"
-    extra = f"min_prominence_db = {prominence!r}\n"
+    extra = ""
     if weights is not None:
         extra += "mode_weights = " + ", ".join(
             f"{k}:{w!r}" for k, w in weights.items()) + "\n"
@@ -527,12 +509,13 @@ def test_cli_reads_the_ini_before_it_writes(sub, frf, gripper_ini, tmp_path,
     assert not out.exists()
 
 
-def test_cli_notes_retired_keys_only_with_verbose(gripper_ini, tmp_path,
+def test_cli_notes_retired_keys_only_with_verbose(gripper_ini,
+                                                  gripper_frf_csv, tmp_path,
                                                   capsys):
     shutil.copy(gripper_ini.parent / "gripper_shapes.csv", tmp_path)
     ini = tmp_path / "retired.ini"
-    ini.write_text(gripper_ini.read_text()
-                   + "min_gap_m = 0.05\ntarget_mode = 2\n")
+    ini.write_text(gripper_ini.read_text() + "min_gap_m = 0.05\n"
+                   "target_mode = 2\nmin_prominence_db = 60\n")
     args = ["place", "--config", str(ini), "--out-dir", str(tmp_path),
             "--quiet"]
     assert _run(args) == 0
@@ -540,7 +523,15 @@ def test_cli_notes_retired_keys_only_with_verbose(gripper_ini, tmp_path,
     assert _run(args + ["-v"]) == 0
     assert capsys.readouterr().err.splitlines() == [
         "info: [analysis] min_gap_m is retired and ignored",
-        "info: [analysis] target_mode is retired and ignored"]
+        "info: [analysis] target_mode is retired and ignored",
+        "info: [analysis] min_prominence_db is retired and ignored"]
+    # A threshold no peak of the record reaches changes no output.
+    for config, out in ((gripper_ini, "plain"), (ini, "retired")):
+        assert _run(["analyze", "--frf", str(gripper_frf_csv), "--config",
+                     str(config), "--out-dir", str(tmp_path / out),
+                     "--quiet"]) == 0
+    assert ((tmp_path / "plain" / "analyze.csv").read_bytes()
+            == (tmp_path / "retired" / "analyze.csv").read_bytes())
 
 
 @pytest.mark.parametrize("structure, message", [
@@ -767,24 +758,6 @@ def test_cli_analyze_takes_band_from_config(gripper_ini, gripper_frf_csv,
             == (tmp_path / "band" / "analyze.csv").read_bytes())
 
 
-def test_cli_analyze_takes_prominence_from_config(gripper_ini,
-                                                  gripper_frf_csv, tmp_path,
-                                                  capsys):
-    for name in ("gripper.ini", "gripper_shapes.csv"):
-        shutil.copy(gripper_ini.parent / name, tmp_path / name)
-    ini = tmp_path / "gripper.ini"
-    ini.write_text(ini.read_text().replace(
-        "[analysis]\n", "[analysis]\nmin_prominence_db = 60\n"))
-    argv = ["analyze", "--frf", str(gripper_frf_csv), "--config", str(ini),
-            "--out-dir", str(tmp_path / "out"), "--quiet"]
-    # The INI threshold holds alongside --band too; the flag overrides it.
-    for extra in ([], ["--band", "50,90"]):
-        assert _run(argv + extra) == 1
-        assert ("no peaks with prominence >= 60 dB"
-                in capsys.readouterr().err)
-    assert _run(argv + ["--min-prominence-db", "3"]) == 0
-
-
 def test_cli_names_a_repeated_measured_frequency(gripper_ini, tmp_path,
                                                 capsys):
     for name in ("gripper.ini", "gripper_shapes.csv"):
@@ -855,11 +828,14 @@ def test_python_m_piezodamp_exits_like_the_cli():
 
 
 def test_cli_usage_errors_exit_1_and_help_exits_0(tmp_path, capsys):
-    for argv in (["analyze"], ["bogus"],
-                 ["analyze", "--frf", str(tmp_path / "r.csv"),
-                  "--min-prominence-db", "abc"]):
+    for argv in (["analyze"], ["bogus"]):
         assert _run(argv) == 1, argv
         assert "usage: piezodamp" in capsys.readouterr().err
+    # The peak threshold is the half-power level, not an option.
+    assert _run(["analyze", "--frf", str(tmp_path / "r.csv"), "--band",
+                 "50,90", "--min-prominence-db", "3"]) == 1
+    assert capsys.readouterr().err.endswith(
+        "error: unrecognized arguments: --min-prominence-db 3\n")
     assert _run(["--help"]) == 0
     assert "usage: piezodamp" in capsys.readouterr().out
 
@@ -992,15 +968,6 @@ def test_cli_exit_code_data_error(gripper_frf_csv, tmp_path, capsys):
         assert code == 1
         assert capsys.readouterr().err == (
             "error: --band must be 'lo,hi' in Hz with 0 < lo < hi\n"), band
-
-    # A threshold at or below 0 dB would count every ripple as a peak.
-    for prominence in ("0", "-1", "nan", "inf"):
-        code = _run(["analyze", "--frf", str(gripper_frf_csv), "--band",
-                     "50,90", "--min-prominence-db", prominence,
-                     "--out-dir", str(tmp_path)])
-        assert code == 1
-        assert "min_prominence_db must be positive and finite" in (
-            capsys.readouterr().err), prominence
 
     code = _run(["analyze", "--frf", str(gripper_frf_csv),
                  "--out-dir", str(tmp_path)])

@@ -11,7 +11,7 @@ from scipy.signal import find_peaks as scipy_find_peaks
 
 import piezodamp as pd
 from piezodamp.errors import InvalidInputError, ParseError
-from piezodamp.frf import _prominent_peaks
+from piezodamp.frf import _db, _prominent_peaks
 
 
 def _sdof(f_hz=75.0, zeta=0.01, b=1.0):
@@ -219,7 +219,7 @@ def test_find_peaks_never_reports_boundaries():
     freqs = np.linspace(10.0, 20.0, 101)
     vals = (1.0 / freqs).astype(complex)
     frf = pd.FRF(freqs, vals)
-    assert pd.find_peaks(frf, (10.0, 20.0), min_prominence_db=0.1) == []
+    assert pd.find_peaks(frf, (10.0, 20.0)) == []
 
 
 def test_find_peaks_prominence_filter():
@@ -228,7 +228,7 @@ def test_find_peaks_prominence_filter():
     mag[300] = 10.0    # 20 dB peak
     mag[600] = 1.02    # 0.17 dB ripple
     frf = pd.FRF(freqs, mag.astype(complex))
-    peaks = pd.find_peaks(frf, (1.0, 100.0), min_prominence_db=3.0)
+    peaks = pd.find_peaks(frf, (1.0, 100.0))
     assert peaks == [300]
 
 
@@ -261,11 +261,6 @@ def test_find_peaks_validation():
         pd.find_peaks(frf, (100.0, 200.0))
     with pytest.raises(InvalidInputError, match="contains no grid points"):
         pd.find_peaks(frf, (50.01, 50.09))
-    for prominence in (0.0, -1.0, np.nan, np.inf):
-        with pytest.raises(InvalidInputError,
-                           match="min_prominence_db must be positive and "
-                                 f"finite, got {prominence:g}"):
-            pd.find_peaks(frf, (40.0, 60.0), prominence)
 
 
 def test_find_peaks_rejects_flagged_band():
@@ -355,8 +350,8 @@ def test_half_power_refuses_a_flagged_sample_at_a_crossing(flag_hz):
 
 def _walked_half_power(mag, f, i):
     """Reference crossings, found by walking sample by sample away from the
-    peak, plus the resolution and flagged-sample rules: (f_lo, f_hi), or the
-    error class and the start of its message."""
+    peak, plus the resolution, flagged-sample and higher-sample rules:
+    (f_lo, f_hi), or the error class and the start of its message."""
     thr = mag[i] / np.sqrt(2.0)
     a = i
     while a > 0 and mag[a] >= thr:
@@ -373,6 +368,9 @@ def _walked_half_power(mag, f, i):
     for s in (a + 1, b - 1):
         if np.isinf(mag[s]):
             return InvalidInputError, f"the sample at {f[s]:g} Hz"
+    for s in range(a + 1, b):
+        if mag[s] > mag[i]:
+            return InvalidInputError, f"the sample at {f[s]:g} Hz lies above"
     f_lo = f[a] + (thr - mag[a]) * (f[a + 1] - f[a]) / (mag[a + 1] - mag[a])
     f_hi = f[b - 1] + (thr - mag[b - 1]) * (f[b] - f[b - 1]) / (mag[b] - mag[b - 1])
     return f_lo, f_hi
@@ -404,7 +402,8 @@ def _half_power_records(draw):
 @settings(max_examples=500, deadline=None)
 @given(_half_power_records())
 # Samples at the level and an inf one inside the band, and both crossings at
-# the record ends: (f_lo, f_hi) = (2, 7).
+# the record ends: the inf sample lies above the peak, so the band spans a
+# higher peak and is refused.
 @example((np.arange(1.0, 9.0), np.array(
     [0.5, _LEVEL, 1.9, 2.0, 1.9, np.inf, _LEVEL, 0.5],
     dtype=complex), 3))
@@ -447,6 +446,70 @@ def test_half_power_accepts_flat_top_that_find_peaks_reports(width, last_ulp):
     assert peaks == [top + (width - 1) // 2]
     est = pd.half_power_damping(flat_frf, peaks[0])
     assert est.zeta == pytest.approx(zeta, rel=0.01)
+
+
+def test_half_power_refuses_a_band_that_spans_a_higher_peak():
+    # A 62 Hz shoulder (zeta 0.3 %, residue 0.03) on a 60 Hz mode (zeta 2 %)
+    # falls below its half-power level only past the 60 Hz peak. Its band
+    # would span that peak and read about 4.2 % damping, 14 times its own.
+    freqs = np.linspace(40.0, 80.0, 8001)
+    plant = pd.ModalPlant(2.0 * np.pi * np.array([60.0, 62.0]), [0.02, 0.003],
+                          [1.0, np.sqrt(0.03)])
+    frf = pd.frf_of(pd.plant_system(plant), freqs)
+    shoulder = int(np.argmin(np.abs(freqs - 62.06)))
+    assert shoulder in _prominent_peaks(_db(np.abs(frf.values)), 0.0)
+    peaks = pd.find_peaks(frf, (40.0, 80.0))
+    assert [freqs[i] for i in peaks] == [pytest.approx(60.0, abs=0.1)]
+    with pytest.raises(InvalidInputError,
+                       match=r"^the sample at 58\.475 Hz lies above the peak "
+                             r"at 62\.06 Hz inside its half-power band"):
+        pd.half_power_damping(frf, shoulder)
+
+
+@st.composite
+def _modal_records(draw):
+    """|H| of 1-4 modes on a uniform or logarithmic grid that holds some or
+    all of them: close pairs, damping from 0.1 to 10 % and residues up to
+    100 times apart."""
+    lo = draw(st.floats(5.0, 100.0))
+    hi = lo * draw(st.floats(1.1, 4.0))
+    n = draw(st.integers(20, 1500))
+    spacing = np.geomspace if draw(st.booleans()) else np.linspace
+    freqs = spacing(lo, hi, n)
+    modes = []
+    for _ in range(draw(st.integers(1, 4))):
+        if modes and draw(st.booleans()):  # close to the last one
+            f = modes[-1][0] * (1.0 + draw(st.floats(-0.05, 0.05)))
+        else:
+            f = draw(st.floats(0.9 * lo, 1.1 * hi))
+        modes.append((f, 10.0 ** draw(st.floats(-3.0, -1.0)),
+                      10.0 ** draw(st.floats(-2.0, 0.0))))
+    w = 2.0 * np.pi * freqs
+    values = sum(r / ((2.0 * np.pi * f) ** 2 - w * w
+                      + 2j * z * (2.0 * np.pi * f) * w) for f, z, r in modes)
+    return pd.FRF(freqs, values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_modal_records())
+def test_find_peaks_reports_the_peaks_a_half_power_estimate_reads(frf):
+    # Both directions of the peak rule: a peak that find_peaks reports gives
+    # an estimate whose band holds no sample above the peak, unless the grid
+    # does not resolve it; an interior maximum that it leaves out gives none.
+    db = _db(np.abs(frf.values))
+    f = frf.freqs_hz
+    reported = pd.find_peaks(frf, (f[0], f[-1]))
+    for i in reported:
+        try:
+            est = pd.half_power_damping(frf, i)
+        except InvalidInputError as exc:
+            assert "not resolved" in str(exc)
+            continue
+        band = (f > est.f_lo) & (f < est.f_hi)
+        assert db[band].max() <= db[i]
+    for i in set(_prominent_peaks(db, 0.0).tolist()) - set(reported):
+        with pytest.raises(InvalidInputError):
+            pd.half_power_damping(frf, i)
 
 
 def test_half_power_index_validation():
@@ -601,25 +664,20 @@ def test_gain_sweep_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(InvalidInputError, match="gains must be finite"):
             pd.gain_sweep(plant, cfg, [1.0, bad])
-    # A threshold find_peaks refuses fails the call instead of being logged
-    # once per stable row.
-    for prominence in (0.0, -1.0, np.nan, np.inf):
-        with pytest.raises(InvalidInputError,
-                           match="min_prominence_db must be positive"):
-            pd.gain_sweep(plant, cfg, [1.0], min_prominence_db=prominence)
 
 
 def test_gain_sweep_logs_a_response_without_peaks(caplog):
-    # A threshold above every peak's prominence leaves a stable row without
-    # an estimate and logs why, once.
+    # A grid well below the mode holds a rising response without a peak: a
+    # stable row without an estimate, and one warning that says why.
     plant = _sdof(75.0, 0.01)
     cfg = pd.PPFConfig(2.0 * np.pi * 76.7, 0.3)
     with caplog.at_level(logging.WARNING, logger="piezodamp"):
-        rows = pd.gain_sweep(plant, cfg, [1.0], min_prominence_db=500.0)
+        rows = pd.gain_sweep(plant, cfg, [1.0],
+                             freqs_hz=np.linspace(10.0, 30.0, 201))
     assert rows[0].stable and rows[0].estimate is None
     assert [r.getMessage() for r in caplog.records] == [
-        "gain 1: no half-power estimate: no resonance peak found; widen the "
-        "band or lower the prominence threshold"]
+        "gain 1: no half-power estimate: no peak reaches the half-power "
+        "level; widen the band"]
 
 
 def test_gain_sweep_targets_mode_nearest_filter():

@@ -36,6 +36,26 @@ def test_patch_longer_than_beam(unit_model, material):
         pd.scan_objective(_problem(unit_model, material, patch))
 
 
+def test_coupling_and_placement_agree_on_whether_a_patch_fits(unit_model,
+                                                               material):
+    # One tolerance: an overhang of 1e-10 L is rounding, so both place the
+    # patch at the clamp; one of 1e-6 L is refused by both, and the message
+    # tells the two lengths apart.
+    fits = pd.PatchGeometry(1.0 + 1e-10, 0.02, 0.0005, 0.00125)
+    assert pd.coupling_factor(unit_model, fits, material, 1).k2 > 0.0
+    result = pd.optimize_placement(_problem(unit_model, material, fits))
+    assert result.positions == [0.0]
+    long = pd.PatchGeometry(1.0 + 1e-6, 0.02, 0.0005, 0.00125)
+    with pytest.raises(InvalidInputError,
+                       match=r"^patch \[0, 1\.000001\] m falls outside the "
+                             r"0\.\.1 m grid$"):
+        pd.coupling_factor(unit_model, long, material, 1)
+    with pytest.raises(InvalidInputError,
+                       match=r"^patch length 1\.000001 m exceeds the "
+                             r"structure length 1 m"):
+        pd.optimize_placement(_problem(unit_model, material, long))
+
+
 def test_scan_matches_per_position_coupling(unit_model, material, patch):
     weights = {1: 1.0, 2: 0.5}
     prob = _problem(unit_model, material, patch, weights=weights, step=0.1)

@@ -1,3 +1,4 @@
+import argparse
 import os
 import re
 import subprocess
@@ -5,7 +6,7 @@ import sys
 from pathlib import Path
 
 import piezodamp as pd
-from piezodamp import config
+from piezodamp import cli, config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -65,3 +66,25 @@ def test_readme_ini_block_lists_the_keys_of_the_schema_table():
     readme = _readme_ini_keys()
     assert readme - table == set()
     assert table - readme == set()
+
+
+def _parser_flags() -> set:
+    parser = cli.build_parser()
+    parsers = [parser] + [sub for action in parser._actions
+                          if isinstance(action, argparse._SubParsersAction)
+                          for sub in action.choices.values()]
+    return {flag for p in parsers for action in p._actions
+            for flag in action.option_strings}
+
+
+def test_readme_cli_flags_are_options_of_the_parser():
+    # Every flag the CLI, INI and input file sections name, so a flag the
+    # parser drops cannot linger in the docs.
+    text = README.read_text()
+    named = set()
+    for title in ("Quick start (CLI)", "Project INI schema",
+                  "Input data files"):
+        section = text.split(f"## {title}\n", 1)[1].split("\n## ", 1)[0]
+        named |= set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    assert {"--config", "--band", "--frf"} <= named
+    assert named - _parser_flags() == set()
