@@ -76,8 +76,7 @@ def write_state_space_csv(sys_: LinearSystem, path: Path) -> None:
 
 def _loop(cfg: ProjectConfig):
     """The plant over every mode of the configured model, and the filter."""
-    model = cfg.build_model()
-    plant = build_plant(model, cfg.patch, range(1, model.n_modes + 1))
+    plant = build_plant(cfg.build_model(), cfg.patch)
     return plant, PPFConfig.from_hz(cfg.ppf_freq_hz, cfg.ppf_zeta)
 
 

@@ -554,7 +554,8 @@ def _measured_lists(frequencies_hz, damping=None):
     each in [0, 1)."""
     freqs = [float(f) for f in np.atleast_1d(frequencies_hz)]
     if not freqs or not all(0.0 < f < np.inf for f in freqs):
-        raise InvalidInputError("frequencies_hz must list positive frequencies")
+        raise InvalidInputError(
+            "frequencies_hz must list positive, finite frequencies")
     for k, f in enumerate(freqs):
         if f in freqs[:k]:
             raise InvalidInputError(f"measured frequency {f:g} Hz is listed twice")

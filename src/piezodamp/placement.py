@@ -81,16 +81,20 @@ class PlacementResult:
 
 
 def candidate_positions(problem: PlacementProblem) -> np.ndarray:
-    """The scan grid 0, step, 2*step, ... limited to positions where the
-    patch still fits on the structure, as ``delta_thetas`` decides it."""
+    """The scan grid 0, step, 2*step, ... limited to the starts where the
+    patch fits by the float test that ``delta_thetas`` applies."""
     L = problem.model.length
-    limit = L - problem.patch.length
-    if limit < -_FIT_TOL * L:
+    length = problem.patch.length
+    fit = L + _FIT_TOL * L
+    # One start past the estimated last fit, so its rounding cannot drop one.
+    starts = problem.step * np.arange(
+        int(np.floor((fit - length) / problem.step)) + 2)
+    starts = starts[starts + length <= fit]
+    if starts.size == 0:
         raise InvalidInputError(
-            f"patch length {problem.patch.length:.12g} m exceeds the structure "
+            f"patch length {length:.12g} m exceeds the structure "
             f"length {L:.12g} m; no feasible position")
-    n = int(np.floor(max(limit, 0.0) / problem.step + 1e-9)) + 1
-    return problem.step * np.arange(n)
+    return starts
 
 
 def scan_objective(problem: PlacementProblem) -> PlacementScan:

@@ -1,6 +1,6 @@
 """Modal plant, positive position feedback controller, loop closure, stability.
 
-The plant collects the selected modes as second-order sections driven by one
+The plant collects the modes as second-order sections driven by one
 actuation input with influence b_i, sensed collocated as y = sum b_i x_i.
 The controller is a damped second-order filter fed by y whose position state
 is scaled by the gain and added back onto the plant input (positive feedback).
@@ -8,7 +8,6 @@ is scaled by the gain and added back onto the plant input (positive feedback).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,31 +115,24 @@ def plant_system(plant: ModalPlant) -> LinearSystem:
     return LinearSystem(A, B, C)
 
 
-def build_plant(model: ModalModel, patch: PatchGeometry,
-                selected_modes) -> ModalPlant:
-    """Plant over the selected mode indices with influences b_i, the slope
+def build_plant(model: ModalModel, patch: PatchGeometry) -> ModalPlant:
+    """Plant over every mode of the model with influences b_i, the slope
     differences across the patch at patch.x_start, normalized so the
     strongest-coupled mode has |b| = 1. The patch material only scales the
-    loop gain, so it does not enter.
+    loop gain, so it does not enter. Every mode enters because g* = 1 / G(0)
+    holds only for the whole structure; build a ``ModalPlant`` directly for
+    any other plant.
 
-    Raises a degenerate-plant error when every selected mode has zero slope
+    Raises a degenerate-plant error when every mode has zero slope
     difference across the patch (nothing is controllable).
     """
-    indices = [operator.index(i) for i in selected_modes]
-    if not indices:
-        raise InvalidInputError("selected_modes must not be empty")
-    for k, i in enumerate(indices):
-        if i in indices[:k]:
-            raise InvalidInputError(f"selected_modes lists mode {i} twice")
-    modes = [model.mode(i) for i in indices]
     dth = delta_thetas(model, patch.length, [patch.x_start])[0]
-    dth = dth[[i - 1 for i in indices]]
     peak = float(np.max(np.abs(dth)))
     if peak == 0.0:
         raise InvalidInputError(
-            "every selected mode has zero slope difference across the patch")
-    return ModalPlant(np.array([m.omega for m in modes]),
-                      np.array([m.zeta for m in modes]), dth / peak)
+            "every mode has zero slope difference across the patch")
+    return ModalPlant(np.array([m.omega for m in model.modes]),
+                      np.array([m.zeta for m in model.modes]), dth / peak)
 
 
 def ppf_controller(cfg: PPFConfig) -> LinearSystem:

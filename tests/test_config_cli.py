@@ -773,8 +773,8 @@ def test_cli_names_a_repeated_measured_frequency(gripper_ini, tmp_path,
 
 @pytest.mark.parametrize("frequencies, message", [
     ("58.0, 58.0", "measured frequency 58 Hz is listed twice"),
-    ("58.0, -76.0", "frequencies_hz must list positive frequencies"),
-    (",", "frequencies_hz must list positive frequencies"),
+    ("58.0, -76.0", "frequencies_hz must list positive, finite frequencies"),
+    (",", "frequencies_hz must list positive, finite frequencies"),
     ("58.0", "damping must list one ratio per frequency: 2 for 1"),
 ])
 def test_cli_analyze_refuses_measured_lists_on_load(

@@ -547,8 +547,9 @@ def test_load_measured_argument_errors(tmp_path):
         pd.load_measured_modes(f, [3.0], damping=[0.01, 0.02])
     # The list rule runs before the file is read.
     for freqs in ([-3.0], [], [0.0, 3.0], [np.nan, 76.0], [58.0, np.inf]):
-        with pytest.raises(InvalidInputError,
-                           match="^frequencies_hz must list positive frequencies$"):
+        with pytest.raises(
+                InvalidInputError,
+                match="^frequencies_hz must list positive, finite frequencies$"):
             pd.load_measured_modes(tmp_path / "absent.csv", freqs)
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import piezodamp as pd
@@ -54,6 +54,46 @@ def test_coupling_and_placement_agree_on_whether_a_patch_fits(unit_model,
                        match=r"^patch length 1\.000001 m exceeds the "
                              r"structure length 1 m"):
         pd.optimize_placement(_problem(unit_model, material, long))
+
+
+def test_placement_keeps_the_last_start_that_coupling_accepts(material):
+    # 0.35 + 0.05 overhangs 0.3999999999 m by 1e-10 m, within the fit
+    # tolerance, so coupling accepts x_start = 0.35 and the scan keeps it.
+    beam = pd.BeamProperties(0.3999999999, 20.0, 1.0)
+    model = pd.analytic_cantilever_modes(beam, 3)
+    patch = pd.PatchGeometry(0.05, 0.02, 0.0005, 0.00125)
+    last = pd.PatchGeometry(0.05, 0.02, 0.0005, 0.00125, x_start=0.35)
+    assert pd.coupling_factor(model, last, material, 1).k2 > 0.0
+    starts = pd.candidate_positions(_problem(model, material, patch,
+                                             step=0.01))
+    assert starts.size == 36
+    assert starts[-1] == 0.01 * 35
+
+
+@settings(max_examples=300, deadline=None)
+@given(length=st.floats(0.05, 5.0), step_frac=st.floats(1e-3, 0.5),
+       k=st.integers(0, 60), overhang=st.floats(-3e-9, 3e-9))
+def test_candidates_are_the_starts_delta_thetas_accepts(material, length,
+                                                       step_frac, k, overhang):
+    # Patch lengths put the last start step * k within a few fit tolerances
+    # of the beam end, where the rounding of step * k + length decides.
+    beam = pd.BeamProperties(length, 20.0, 1.0)
+    model = pd.analytic_cantilever_modes(beam, 2)
+    step = step_frac * length
+    patch_length = length - step * k + overhang * length
+    assume(0.02 * length < patch_length)
+    patch = pd.PatchGeometry(patch_length, 0.02, 0.0005, 0.00125)
+    problem = _problem(model, material, patch, step=step)
+    try:
+        starts = pd.candidate_positions(problem)
+    except InvalidInputError:
+        with pytest.raises(InvalidInputError, match="falls outside"):
+            pd.delta_thetas(model, patch_length, [0.0])
+        return
+    np.testing.assert_array_equal(starts, step * np.arange(starts.size))
+    pd.delta_thetas(model, patch_length, starts)
+    with pytest.raises(InvalidInputError, match="falls outside"):
+        pd.delta_thetas(model, patch_length, [step * starts.size])
 
 
 def test_scan_matches_per_position_coupling(unit_model, material, patch):

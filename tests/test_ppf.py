@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import piezodamp as pd
 from piezodamp.errors import InvalidInputError
@@ -66,31 +70,13 @@ def test_ppf_config_validation():
 
 
 def test_build_plant_normalizes_influence(unit_model, patch):
-    plant = pd.build_plant(unit_model, patch, [1, 2, 3])
+    plant = pd.build_plant(unit_model, patch)
     assert np.max(np.abs(plant.b)) == 1.0
-    assert plant.n_modes == 3
+    assert plant.n_modes == unit_model.n_modes == 4
     np.testing.assert_array_equal(plant.omegas,
-                                  [m.omega for m in unit_model.modes[:3]])
-
-
-def test_build_plant_subset(unit_model, patch):
-    plant = pd.build_plant(unit_model, patch, [2])
-    assert plant.omegas[0] == unit_model.modes[1].omega
-    assert plant.b[0] == 1.0 or plant.b[0] == -1.0
-
-
-def test_build_plant_refuses_a_repeated_mode(unit_model, patch):
-    # Counting mode 1 twice would double its share of G(0) and so lower g*.
-    with pytest.raises(InvalidInputError,
-                       match="selected_modes lists mode 1 twice"):
-        pd.build_plant(unit_model, patch, [1, 2, 1])
-
-
-def test_build_plant_reads_a_generator_once(unit_model, patch):
-    plant = pd.build_plant(unit_model, patch, (i for i in (1, 2, 3)))
-    ref = pd.build_plant(unit_model, patch, [1, 2, 3])
-    np.testing.assert_array_equal(plant.omegas, ref.omegas)
-    np.testing.assert_array_equal(plant.b, ref.b)
+                                  [m.omega for m in unit_model.modes])
+    np.testing.assert_array_equal(plant.zetas,
+                                  [m.zeta for m in unit_model.modes])
 
 
 def test_shape_scale_reaches_coupling_and_plant_alike(unit_model, patch,
@@ -105,7 +91,7 @@ def test_shape_scale_reaches_coupling_and_plant_alike(unit_model, patch,
     k2 = [pd.coupling_factor(model, patch, material, 2).k2
           for model in (unit_model, scaled)]
     assert k2[1] == pytest.approx(k2[0] / 4.0, rel=1e-14)
-    base, half = (pd.build_plant(model, patch, [1, 2, 3])
+    base, half = (pd.build_plant(model, patch)
                   for model in (unit_model, scaled))
     assert half.b[1] / half.b[0] == pytest.approx(
         0.5 * base.b[1] / base.b[0], rel=1e-14)
@@ -119,9 +105,9 @@ def test_build_plant_degenerate():
     mode = pd.Mode(10.0, 0.01, x.copy(), np.ones_like(x))
     model = pd.ModalModel(x, [mode], "analytic")
     patch = pd.PatchGeometry(0.2, 0.02, 0.0005, 0.00125)
-    with pytest.raises(InvalidInputError, match="every selected mode has zero "
-                                                 "slope difference"):
-        pd.build_plant(model, patch, [1])
+    with pytest.raises(InvalidInputError, match="^every mode has zero slope "
+                                                 "difference across the patch$"):
+        pd.build_plant(model, patch)
 
 
 def test_close_loop_zero_gain_keeps_poles():
@@ -212,18 +198,43 @@ def test_critical_gain_needs_a_controllable_mode():
         pd.critical_gain(plant, pd.PPFConfig(15.0, 0.3))
 
 
-def test_critical_gain_destabilizes_multimode(gripper_model):
-    patch = pd.PatchGeometry(0.05, 0.02, 0.0005, 0.00125)
-    plant = pd.build_plant(gripper_model, patch, [1, 2])
+def _straddles_critical_gain(plant, cfg):
+    """Raw stability verdicts of the loop at 0.999 g* and at 1.001 g*."""
     psys = pd.plant_system(plant)
-    cfg = pd.PPFConfig.from_hz(76.7, 0.3)
     g = pd.critical_gain(plant, cfg)
     assert np.isfinite(g)
-    from dataclasses import replace
-    just_below = pd.close_loop(psys, pd.ppf_controller(replace(cfg, gain=0.999 * g)))
-    just_above = pd.close_loop(psys, pd.ppf_controller(replace(cfg, gain=1.001 * g)))
-    assert pd.stability(just_below, tol_margin=0.0)
-    assert not pd.stability(just_above, tol_margin=0.0)
+    return [pd.stability(pd.close_loop(psys, pd.ppf_controller(
+        replace(cfg, gain=k * g))), tol_margin=0.0) for k in (0.999, 1.001)]
+
+
+def test_critical_gain_destabilizes_the_gripper_plant(gripper_model):
+    patch = pd.PatchGeometry(0.05, 0.02, 0.0005, 0.00125)
+    plant = pd.build_plant(gripper_model, patch)
+    assert plant.n_modes == gripper_model.n_modes
+    cfg = pd.PPFConfig.from_hz(76.7, 0.3)
+    assert _straddles_critical_gain(plant, cfg) == [True, False]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n_modes=st.integers(1, 6),
+       length=st.floats(0.1, 2.0), stiffness=st.floats(1.0, 100.0),
+       mass=st.floats(0.1, 10.0), zeta=st.floats(0.001, 0.05),
+       span=st.floats(0.02, 1.0), filter_ratio=st.floats(0.2, 20.0),
+       zeta_f=st.floats(0.05, 0.9))
+def test_critical_gain_destabilizes_multimode(data, n_modes, length, stiffness,
+                                              mass, zeta, span, filter_ratio,
+                                              zeta_f):
+    # The plant of build_plant holds every mode of the model, so g* = 1 / G(0)
+    # is the exact stability boundary (Fanson & Caughey) of its PPF loop.
+    beam = pd.BeamProperties(length, stiffness, mass, zeta)
+    model = pd.analytic_cantilever_modes(beam, n_modes)
+    x_start = data.draw(st.floats(0.0, 1.0)) * (1.0 - span) * length
+    patch = pd.PatchGeometry(span * length, 0.02, 0.0005, 0.00125, x_start)
+    plant = pd.build_plant(model, patch)
+    assert plant.n_modes == model.n_modes
+    assert np.max(np.abs(plant.b)) == 1.0
+    cfg = pd.PPFConfig(filter_ratio * model.modes[0].omega, zeta_f)
+    assert _straddles_critical_gain(plant, cfg) == [True, False]
 
 
 def test_linear_system_validation():
