@@ -3,9 +3,9 @@
 Subcommands: modes, coupling, place, ppf-design, sweep, analyze. All take a
 project INI file via --config (analyze can run from an FRF file alone) and
 write CSV results into --out-dir, which is made only once the INI has
-loaded. Exit codes: 0 success, 1 usage, validation or data error, 2
-numerical failure, 3 file system error. Floats in CSV files and reports
-carry 9 significant digits.
+loaded. Exit codes: 0 success, 1 usage, validation or data error (an
+input too large for memory too), 2 numerical failure, 3 file system error.
+Floats in CSV files and reports carry 9 significant digits.
 """
 
 from __future__ import annotations
@@ -197,7 +197,6 @@ def cmd_sweep(args, cfg: ProjectConfig, out: Path, say) -> None:
 
 def cmd_analyze(args, cfg: ProjectConfig | None, out: Path, say) -> None:
     """Peak table (frequency, Q, damping) of a measured or simulated FRF CSV."""
-    frf = load_frf_csv(args.frf)
     if args.band:
         band = parse_band(args.band, "--band")
     elif cfg is not None:
@@ -205,6 +204,7 @@ def cmd_analyze(args, cfg: ProjectConfig | None, out: Path, say) -> None:
     else:
         raise InvalidInputError("analyze needs --band or a --config with an "
                                 "[analysis] band_hz")
+    frf = load_frf_csv(args.frf)
     peaks = find_peaks(frf, band)
     if not peaks:
         raise InvalidInputError(
@@ -298,6 +298,9 @@ def main(argv=None) -> int:
         return 2
     except PiezodampError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # an input asked for more than the machine has
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvalidInputError, ParseError
-from .modal import TWO_PI, _read_csv
+from .modal import TWO_PI, _read_csv, _refuse_rows
 from .ppf import (LinearSystem, ModalPlant, PPFConfig, close_loop,
                   plant_system, ppf_controller, stability)
 
@@ -117,27 +117,21 @@ def load_frf_csv(path) -> FRF:
     header, data = _read_csv(path, check_header, min_rows=2)
     freqs = data[:, 0].copy()
     if header[1] == "mag":
-        negative = np.flatnonzero(data[:, 1] < 0.0)
-        if negative.size:
-            raise ParseError(
-                f"{path}: mag must be a linear magnitude >= 0, not dB; row "
-                f"{negative[0] + 1} of the data violates this")
+        _refuse_rows(path, "mag must be a linear magnitude >= 0, not dB",
+                     data[:, 1] < 0.0)
         vals = data[:, 1] * np.exp(1j * np.radians(data[:, 2]))
     else:  # (real, imag) pairs are the memory layout of complex128
         vals = data[:, 1:].copy().view(complex)[:, 0]
     # The first difference from 0 Hz is the first frequency itself.
-    falls = np.flatnonzero(np.diff(freqs, prepend=0.0) <= 0.0)
-    if falls.size:
-        raise ParseError(
-            f"{path}: freq_hz must be positive and strictly increasing; row "
-            f"{falls[0] + 1} of the data violates this")
+    _refuse_rows(path, "freq_hz must be positive and strictly increasing",
+                 np.diff(freqs, prepend=0.0) <= 0.0)
     return FRF(freqs, vals)
 
 
 def find_peaks(frf: FRF, band_hz) -> list[int]:
     """Indices of the interior local maxima of |H| inside the band that a
     half-power estimate can be read from: those whose prominence on the dB
-    scale reaches the half-power level, 10 log10 2 = 3.01 dB.
+    scale reaches the half-power level, |H| over sqrt 2 or 3.01 dB.
 
     Below that level one half-power crossing lies past the record end or past
     a higher sample. Record boundaries are never reported as peaks. Flagged
@@ -165,12 +159,13 @@ def find_peaks(frf: FRF, band_hz) -> list[int]:
 
 
 def _db(mag):
-    """|H| in dB, the scale ``find_peaks`` compares samples on."""
-    return 20.0 * np.log10(np.maximum(mag, 1e-300))
+    """|H| in dB, -inf at zero: the scale of ``find_peaks`` and Bode tables."""
+    with np.errstate(divide="ignore"):
+        return 20.0 * np.log10(mag)
 
 
-# The half-power level below a peak in dB, 10 log10 2 = 3.01 dB: the least
-# prominence of a peak that ``find_peaks`` reports.
+# The half-power level below a peak in dB, |H| over sqrt 2 or 3.01 dB:
+# the least prominence of a peak that ``find_peaks`` reports.
 _HALF_POWER_DB = float(_db(np.sqrt(2.0)))
 
 
@@ -402,9 +397,7 @@ def bode_table(frf: FRF):
 
     Flagged samples come back as nan in both columns.
     """
-    mag = np.abs(frf.values)
-    with np.errstate(divide="ignore"):
-        mag_db = 20.0 * np.log10(mag)
+    mag_db = _db(np.abs(frf.values))
     phase = np.degrees(np.unwrap(np.angle(frf.values)))
     flagged = frf.flagged
     mag_db[flagged] = phase[flagged] = np.nan

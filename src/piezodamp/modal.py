@@ -39,6 +39,17 @@ def _check_damping(zetas, what: str) -> None:
         raise InvalidInputError(f"{what} must lie in [0, 1)")
 
 
+def _check_frequencies(omegas, what: str) -> None:
+    """Angular frequencies are positive and finite, and their squares, which
+    every modal formula takes, neither overflow nor underflow to 0."""
+    w = np.asarray(omegas, dtype=float)
+    with np.errstate(over="ignore"):
+        square = w * w
+    if not np.all((w > 0.0) & (0.0 < square) & (square < np.inf)):
+        raise InvalidInputError(f"{what} must be positive and finite, with a "
+                                "nonzero, finite square")
+
+
 @dataclass
 class BeamProperties:
     """Uniform cantilever: length (m), bending stiffness EI (N m^2), mass per
@@ -109,13 +120,7 @@ class ModalModel:
         if self.source not in (SOURCE_ANALYTIC, SOURCE_FE, SOURCE_MEASURED):
             raise InvalidInputError(f"unknown model source {self.source!r}")
         for k, m in enumerate(self.modes, start=1):
-            w = float(m.omega)
-            if w <= 0.0:
-                raise InvalidInputError(f"mode {k}: omega must be positive")
-            if not math.isfinite(w * w):
-                raise InvalidInputError(
-                    f"mode {k}: omega = {w:g} rad/s is not finite or its "
-                    "square overflows")
+            _check_frequencies(m.omega, f"mode {k}: omega")
             _check_damping(m.zeta, f"mode {k}: zeta")
             if m.phi.shape != x.shape or m.theta.shape != x.shape:
                 raise InvalidInputError(
@@ -537,6 +542,14 @@ def _row_error(line_no: int, line: str, header: list[str]):
     return None
 
 
+def _refuse_rows(path, rule: str, violates) -> None:
+    """Raise the ParseError naming the first data row ``violates`` marks."""
+    rows = np.flatnonzero(violates)
+    if rows.size:
+        raise ParseError(
+            f"{path}: {rule}; row {rows[0] + 1} of the data violates this")
+
+
 def _numeral(text: str, kind=float):
     """``kind(text)`` under the one numeral rule of every number the tool
     reads, the one ``np.loadtxt`` applies: plain decimal or exponent notation,
@@ -600,11 +613,8 @@ def load_measured_modes(path, frequencies_hz, damping=None,
 
     if x[0] != 0.0:
         raise ParseError(f"{path}: first x_m value must be 0, got {x[0]:g}")
-    if np.any(np.diff(x) <= 0.0):
-        bad = int(np.flatnonzero(np.diff(x) <= 0.0)[0])
-        raise ParseError(
-            f"{path}: x_m must be strictly increasing; row {bad + 2} of the data "
-            "violates this")
+    _refuse_rows(path, "x_m must be strictly increasing",
+                 np.diff(x, prepend=-np.inf) <= 0.0)
 
     if smooth:
         log.info("applying 3-point moving average to %d measured shapes", len(shapes))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvalidInputError
-from .modal import ModalModel, SOURCE_MEASURED, TWO_PI
+from .modal import ModalModel, SOURCE_MEASURED, TWO_PI, _check_frequencies
 
 # A patch fits when it overhangs the structure by at most this fraction of
 # the structure length, which absorbs rounding in x_start + length.
@@ -187,8 +187,7 @@ def coupling_factor(model: ModalModel, patch: PatchGeometry,
 def coupling_from_frequencies(omega_short: float, omega_open: float) -> float:
     """Coupling factor from a measured short/open circuit frequency pair,
     (W^2 - w^2) / w^2."""
-    if not (0.0 < omega_short < np.inf and 0.0 < omega_open < np.inf):
-        raise InvalidInputError("frequencies must be positive and finite")
+    _check_frequencies([omega_short, omega_open], "frequencies")
     if omega_open < omega_short:
         raise InvalidInputError(
             "open-circuit frequency below the short-circuit value is non-physical")

@@ -16,6 +16,11 @@ from .modal import ModalModel
 from .piezo import (PatchGeometry, PiezoMaterial, _FIT_TOL,
                     coupling_coefficients, delta_thetas)
 
+# The scan holds a few (candidates, modes) float tables and writes one
+# scan.csv row per candidate: at this bound, place on a 20-mode beam peaks
+# near 0.5 GB of memory and writes a 320 MB scan.csv.
+_MAX_CANDIDATES = 10 ** 6
+
 
 @dataclass
 class PlacementProblem:
@@ -82,19 +87,24 @@ class PlacementResult:
 
 def candidate_positions(problem: PlacementProblem) -> np.ndarray:
     """The scan grid 0, step, 2*step, ... limited to the starts where the
-    patch fits by the float test that ``delta_thetas`` applies."""
+    patch fits by the float test that ``delta_thetas`` applies; a step that
+    gives more than ``_MAX_CANDIDATES`` of them is refused before any array
+    is built."""
     L = problem.model.length
     length = problem.patch.length
     fit = L + _FIT_TOL * L
-    # One start past the estimated last fit, so its rounding cannot drop one.
-    starts = problem.step * np.arange(
-        int(np.floor((fit - length) / problem.step)) + 2)
-    starts = starts[starts + length <= fit]
-    if starts.size == 0:
+    if length > fit:  # the start at 0 does not fit
         raise InvalidInputError(
             f"patch length {length:.12g} m exceeds the structure "
             f"length {L:.12g} m; no feasible position")
-    return starts
+    last = np.floor((fit - length) / problem.step)
+    if not last < _MAX_CANDIDATES:
+        raise InvalidInputError(
+            f"step {problem.step:g} m gives {last + 1:,.0f} candidate positions; "
+            f"the scan takes at most {_MAX_CANDIDATES:,}")
+    # One start past the estimated last fit, so its rounding cannot drop one.
+    starts = problem.step * np.arange(int(last) + 2)
+    return starts[starts + length <= fit]
 
 
 def scan_objective(problem: PlacementProblem) -> PlacementScan:

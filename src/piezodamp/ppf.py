@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
-from .modal import ModalModel, TWO_PI, _check_damping
+from .modal import ModalModel, TWO_PI, _check_damping, _check_frequencies
 from .piezo import PatchGeometry, delta_thetas
 
 
@@ -66,8 +66,7 @@ class ModalPlant:
             raise InvalidInputError("omegas, zetas and b must have equal length")
         if self.omegas.size == 0:
             raise InvalidInputError("plant needs at least one mode")
-        if not np.all((0.0 < self.omegas) & (self.omegas < np.inf)):
-            raise InvalidInputError("plant frequencies must be positive and finite")
+        _check_frequencies(self.omegas, "plant frequencies")
         _check_damping(self.zetas, "plant damping ratios")
         if not np.all(np.isfinite(self.b)):
             raise InvalidInputError("influence coefficients must be finite")
@@ -86,8 +85,7 @@ class PPFConfig:
     gain: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.omega_f < np.inf:
-            raise InvalidInputError("filter frequency must be positive and finite")
+        _check_frequencies(self.omega_f, "filter frequency")
         if not 0.0 < self.zeta_f < 1.0:
             raise InvalidInputError("filter damping must lie in (0, 1)")
         if not 0.0 <= self.gain < np.inf:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import logging
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -1031,6 +1032,46 @@ def test_cli_absurd_finite_value_exits_1(gripper_ini, tmp_path, capsys, old,
         err = capsys.readouterr().err
         assert code == 1, sub
         assert err.startswith("error: ") and "Traceback" not in err, sub
+
+
+def _cap_address_space():
+    """Hold a CLI child to 4 GiB, so an input that slips past its check
+    fails to allocate instead of filling the machine."""
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+@pytest.mark.parametrize("sub, old, new, names", [
+    ("place", "step_m = 0.01", "step_m = 1e-310", "step 1e-310 m gives inf"),
+    ("place", "step_m = 0.01", "step_m = 1e-9",
+     "step 1e-09 m gives 350,000,001 candidate positions"),
+    ("sweep", "n_freq = 2001", "n_freq = 100000000000", "out of memory"),
+    ("ppf-design", "freq_hz = 76.7", "freq_hz = 1e200",
+     "[ppf]: filter frequency"),
+    ("sweep", "freq_hz = 76.7", "freq_hz = 1e200", "[ppf]: filter frequency"),
+    ("analyze", None, None, "--band"),
+], ids=["step_1e-310", "step_1e-9", "n_freq_1e11", "ppf_design_freq_1e200",
+        "sweep_freq_1e200", "analyze_bad_band_missing_record"])
+def test_cli_refuses_an_input_it_cannot_run_in_one_error_line(
+        gripper_ini, tmp_path, sub, old, new, names):
+    project = tmp_path / "project"
+    shutil.copytree(gripper_ini.parent, project)
+    if sub == "analyze":
+        argv = ["--frf", str(project / "missing.csv"), "--band", "8,abc"]
+    else:
+        ini = project / gripper_ini.name
+        assert old in ini.read_text()
+        ini.write_text(ini.read_text().replace(old, new))
+        argv = ["--config", str(ini)]
+    out = tmp_path / "out"
+    run = subprocess.run(
+        [sys.executable, "-m", "piezodamp", sub, *argv, "--out-dir", str(out),
+         "--quiet"], env=_src_env(), capture_output=True, text=True,
+        preexec_fn=_cap_address_space)
+    assert run.returncode == 1, run.stderr
+    assert len(run.stderr.splitlines()) == 1, run.stderr
+    assert run.stderr.startswith("error: ") and "Traceback" not in run.stderr
+    assert names in run.stderr
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_cli_exit_code_io_error(gripper_ini, tmp_path, capsys):

@@ -208,6 +208,16 @@ def test_find_peaks_two_modes():
     freqs = [frf.freqs_hz[i] for i in peaks]
     assert freqs[0] == pytest.approx(40.0, abs=0.1)
     assert freqs[1] == pytest.approx(80.0, abs=0.1)
+    # An exact zero at the record start and at the antiresonance between the
+    # peaks reads -inf on the dB scale and moves no peak.
+    zeros = [0, peaks[0] + int(np.argmin(np.abs(frf.values[peaks[0]:peaks[1]])))]
+    silent = pd.FRF(frf.freqs_hz, np.where(np.isin(np.arange(2001), zeros), 0.0,
+                                           frf.values))
+    mag_db, _ = pd.bode_table(silent)
+    assert mag_db[zeros].tolist() == [-np.inf, -np.inf]
+    assert np.array_equal(np.delete(mag_db, zeros),
+                          np.delete(pd.bode_table(frf)[0], zeros))
+    assert pd.find_peaks(silent, (20.0, 100.0)) == peaks
     only_high = pd.find_peaks(frf, (60.0, 100.0))
     assert len(only_high) == 1
     assert frf.freqs_hz[only_high[0]] == pytest.approx(80.0, abs=0.1)

@@ -619,9 +619,11 @@ def test_modal_model_validation(unit_model):
     # Each mode is checked under its position, before the sort check.
     for bad, message in (
             (replace(m, omega=0.0), "mode 2: omega must be positive"),
-            (replace(m, omega=1e300), r"mode 2: omega = 1e\+300 rad/s is "
-                                      "not finite or its square overflows"),
-            (replace(m, omega=np.nan), "mode 2: omega = nan rad/s"),
+            (replace(m, omega=1e300), "mode 2: omega must be positive and "
+                                      "finite, with a nonzero, finite square"),
+            (replace(m, omega=np.nan), "mode 2: omega must be positive and "
+                                       "finite, with a nonzero, finite "
+                                       "square"),
             (replace(m, zeta=1.0), r"mode 2: zeta must lie in \[0, 1\)"),
             (replace(m, zeta=-0.1), r"mode 2: zeta must lie in \[0, 1\)"),
             (replace(m, phi=m.phi[:-1]),
@@ -637,3 +639,45 @@ def test_modal_model_validation(unit_model):
         unit_model.mode(0)
     with pytest.raises(InvalidInputError, match="index"):
         unit_model.mode(99)
+
+
+# Squares overflow from next to sqrt(max float) on and underflow to 0 below
+# about sqrt(min subnormal).
+_ROOT_MAX = float(np.sqrt(np.finfo(float).max))
+_ROOT_TINY = float(np.sqrt(np.finfo(float).smallest_subnormal))
+_OMEGA_EDGES = [0.0, -0.0, -1.0, np.nan, np.inf, -np.inf, 1e200, 1e-200] + [
+    float(v) for root in (_ROOT_MAX, _ROOT_TINY)
+    for v in root + np.arange(-3, 4) * np.spacing(root)]
+
+
+def _accepts(make, *args) -> bool:
+    try:
+        make(*args)
+    except InvalidInputError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_OMEGA_EDGES) | st.floats()
+       | st.floats(0.5 * _ROOT_MAX, 2.0 * _ROOT_MAX)
+       | st.floats(0.5 * _ROOT_TINY, 2.0 * _ROOT_TINY))
+def test_every_owner_of_an_angular_frequency_applies_one_rule(omega):
+    grid = np.linspace(0.0, 1.0, 4)
+    verdicts = {
+        _accepts(pd.ModalModel, grid, [pd.Mode(omega, 0.01, grid, grid)],
+                 "analytic"),
+        _accepts(pd.ModalPlant, [omega], [0.01], [1.0]),
+        _accepts(pd.PPFConfig, omega, 0.3),
+        _accepts(pd.coupling_from_frequencies, omega, omega)}
+    assert verdicts == {omega > 0.0 and 0.0 < omega * omega < np.inf}
+
+
+def test_an_angular_frequency_whose_square_overflows_is_refused():
+    message = "must be positive and finite, with a nonzero, finite square"
+    with pytest.raises(InvalidInputError, match="frequencies " + message):
+        pd.coupling_from_frequencies(1e200, 1e200)
+    with pytest.raises(InvalidInputError, match="plant frequencies " + message):
+        pd.ModalPlant([1e200], [0.01], [1.0])
+    with pytest.raises(InvalidInputError, match="filter frequency " + message):
+        pd.PPFConfig.from_hz(1e200, 0.3)
