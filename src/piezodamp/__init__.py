@@ -8,8 +8,7 @@ coupling peaks, close a positive position feedback loop around the target
 mode, and read the achieved damping off the closed-loop frequency response.
 """
 
-from .errors import (ConfigError, InvalidInputError, NumericalError,
-                     ParseError, PiezodampError)
+from .errors import InvalidInputError, NumericalError, PiezodampError
 from .modal import (BeamProperties, ModalModel, Mode, analytic_cantilever_modes,
                     assemble_beam_matrices, cantilever_root, fe_beam_modes,
                     load_measured_modes)
@@ -30,8 +29,7 @@ from .config import ProjectConfig, load_config
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError", "InvalidInputError", "NumericalError", "ParseError",
-    "PiezodampError",
+    "InvalidInputError", "NumericalError", "PiezodampError",
     "BeamProperties", "ModalModel", "Mode", "analytic_cantilever_modes",
     "assemble_beam_matrices", "cantilever_root", "fe_beam_modes",
     "load_measured_modes",

@@ -18,8 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ProjectConfig, load_config, parse_band
-from .errors import (ConfigError, InvalidInputError, NumericalError,
-                     PiezodampError)
+from .errors import InvalidInputError, NumericalError, PiezodampError
 from .frf import (bode_table, find_peaks, gain_sweep, half_power_damping,
                   load_frf_csv)
 from .modal import SOURCE_MEASURED, TWO_PI
@@ -123,7 +122,7 @@ def cmd_coupling(args, cfg: ProjectConfig, out: Path, say) -> None:
 def cmd_place(args, cfg: ProjectConfig, out: Path, say) -> None:
     """Scan candidate positions and pick the best patch placement."""
     if cfg.placement_step <= 0.0:
-        raise ConfigError("[analysis] step_m is required for the place command")
+        raise InvalidInputError("[analysis] step_m is required for the place command")
     model = cfg.build_model()
     problem = PlacementProblem(model, cfg.patch, cfg.material,
                                cfg.mode_weights, cfg.placement_step)
@@ -167,7 +166,7 @@ def cmd_ppf_design(args, cfg: ProjectConfig, out: Path, say) -> None:
 def cmd_sweep(args, cfg: ProjectConfig, out: Path, say) -> None:
     """Close the loop over the configured gains and report peak damping."""
     if not cfg.gains:
-        raise ConfigError("[ppf] gains is required for the sweep command")
+        raise InvalidInputError("[ppf] gains is required for the sweep command")
     plant, filt = _loop(cfg)
     freqs = np.linspace(cfg.band_hz[0], cfg.band_hz[1], cfg.n_freq)
     rows = gain_sweep(plant, filt, cfg.gains, freqs_hz=freqs)
@@ -287,8 +286,8 @@ def main(argv=None) -> int:
         elif args.command == "analyze":
             cfg = None
         else:
-            raise ConfigError("this command needs --config pointing to a "
-                              "project INI file")
+            raise InvalidInputError("this command needs --config pointing to a "
+                                    "project INI file")
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         args.func(args, cfg, out, (lambda text: None) if args.quiet else print)

@@ -5,7 +5,7 @@ material and geometry, the controller, and the analysis settings.
 ``[structure] source``, are refused. Unknown sections are ignored and ``%``
 is literal. A library type or function checks the rule it states when the
 values are handed to it on load; its error reads ``[section]: message``.
-Model sizes, mode limits and the shapes file wait for a model build.
+Model sizes, beam mode limits and the shapes file wait for a model build.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError, InvalidInputError
+from .errors import InvalidInputError
 from .frf import _check_gains, _check_point_count
 from .modal import (DEFAULT_DAMPING, DEFAULT_N_GRID, SOURCE_ANALYTIC,
                     SOURCE_FE, SOURCE_MEASURED, BeamProperties, ModalModel,
@@ -38,7 +38,7 @@ def _checked(section: str, make, *args, **kwargs):
     try:
         return make(*args, **kwargs)
     except InvalidInputError as exc:
-        raise ConfigError(f"[{section}]: {exc}") from None
+        raise InvalidInputError(f"[{section}]: {exc}") from None
 
 
 def _reader(parse, noun: str):
@@ -47,10 +47,10 @@ def _reader(parse, noun: str):
         try:
             value = parse(text)
         except (KeyError, ValueError):
-            raise ConfigError(f"{name} = {text!r} is not {noun}") from None
+            raise InvalidInputError(f"{name} = {text!r} is not {noun}") from None
         for v in value if isinstance(value, list) else [value]:
             if isinstance(v, float) and not math.isfinite(v):
-                raise ConfigError(f"{name} = {text!r} is not finite")
+                raise InvalidInputError(f"{name} = {text!r} is not finite")
         return value
     return read
 
@@ -70,12 +70,12 @@ def _weights(text: str, name: str) -> dict[int, float]:
         try:  # without a colon, weight_s is empty
             mode, weight = _numeral(mode_s, int), _numeral(weight_s)
         except ValueError:
-            raise ConfigError(f"{name}: entry {item!r} must look like "
-                              "'mode:weight'") from None
+            raise InvalidInputError(f"{name}: entry {item!r} must look like "
+                                    "'mode:weight'") from None
         if not math.isfinite(weight):
-            raise ConfigError(f"{name} = {text!r} is not finite")
+            raise InvalidInputError(f"{name} = {text!r} is not finite")
         if mode in out:
-            raise ConfigError(f"{name}: entry {item!r} repeats mode {mode}")
+            raise InvalidInputError(f"{name}: entry {item!r} repeats mode {mode}")
         out[mode] = weight
     return out
 
@@ -88,7 +88,7 @@ def parse_band(text: str, name: str) -> tuple[float, float]:
             return lo, hi
     except ValueError:  # not two numbers
         pass
-    raise ConfigError(f"{name} must be 'lo,hi' in Hz with 0 < lo < hi")
+    raise InvalidInputError(f"{name} must be 'lo,hi' in Hz with 0 < lo < hi")
 
 
 REQUIRED, ALL = object(), tuple(_BUILDERS)
@@ -136,22 +136,22 @@ _SCHEMA = {
 def _read(cp: configparser.ConfigParser, name: str, source: str) -> dict:
     """Section ``name``'s values for ``source`` by key, as ``_SCHEMA`` says."""
     if not cp.has_section(name):
-        raise ConfigError(f"missing [{name}] section")
+        raise InvalidInputError(f"missing [{name}] section")
     sect, out = cp[name], {}
     rows = {row[0].lower(): row for row in _SCHEMA[name] if source in row[1]}
     for key in (k for k in sect if k not in rows):
         for other, sources, *_ in _SCHEMA[name]:
             if other.lower() == key:
-                raise ConfigError(f"[{name}] {other} belongs to source = "
-                                  f"{' or '.join(sources)}, not {source}")
+                raise InvalidInputError(f"[{name}] {other} belongs to source = "
+                                        f"{' or '.join(sources)}, not {source}")
         from difflib import get_close_matches  # only this error needs it
         close = get_close_matches(key, [k for k in rows if rows[k][2]], 1)
         hint = f"; did you mean {rows[close[0]][0]!r}?" if close else ""
-        raise ConfigError(f"[{name}] unknown key {key!r}{hint}")
+        raise InvalidInputError(f"[{name}] unknown key {key!r}{hint}")
     for key, _, reader, default, *owners in rows.values():
         if key not in sect:
             if default is REQUIRED:
-                raise ConfigError(f"[{name}] is missing key {key!r}")
+                raise InvalidInputError(f"[{name}] is missing key {key!r}")
             out[key] = default
         elif reader is None:
             log.info("[%s] %s is retired and ignored", name, key)
@@ -188,30 +188,30 @@ def load_config(path) -> ProjectConfig:
     """Parse and validate a project INI file, as the module docstring says."""
     path = Path(path)
     if not path.is_file():
-        raise ConfigError(f"config file {path} does not exist")
+        raise InvalidInputError(f"config file {path} does not exist")
     cp = configparser.ConfigParser(interpolation=None,
                                    inline_comment_prefixes=("#",))
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             cp.read_file(fh, source=str(path))
     except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise InvalidInputError(f"{path}: {exc}") from None
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: cannot decode byte "
-                          f"0x{exc.object[exc.start]:02x}") from None
+        raise InvalidInputError(f"{path}: not UTF-8 text: cannot decode byte "
+                                f"0x{exc.object[exc.start]:02x}") from None
     source = cp.get("structure", "source", fallback="").strip()
     if source not in _BUILDERS and cp.has_section("structure"):
-        raise ConfigError(f"[structure] source must be one of "
-                          f"{', '.join(_BUILDERS)}; got {source!r}")
+        raise InvalidInputError(f"[structure] source must be one of "
+                                f"{', '.join(_BUILDERS)}; got {source!r}")
     st = _read(cp, "structure", source)
     if source == SOURCE_MEASURED:
         if st["shapes_file"] is None:
-            raise ConfigError("[structure] measured source needs shapes_file")
+            raise InvalidInputError("[structure] measured source needs shapes_file")
         shapes_file = path.parent / st["shapes_file"]
         # os.path.isfile gives False, not an OSError, for a name the file
         # system rejects (too long, for one).
         if not os.path.isfile(shapes_file):
-            raise ConfigError(f"shapes file {shapes_file} does not exist")
+            raise InvalidInputError(f"shapes file {shapes_file} does not exist")
         freqs, damping = st["frequencies_hz"], st["damping"]
         n_modes = len(_checked("structure", _measured_lists, freqs, damping)[0])
         structure = {"path": shapes_file, "frequencies_hz": freqs,
@@ -227,7 +227,7 @@ def load_config(path) -> ProjectConfig:
     length, width, thickness, z_offset, host, x_start = _read(
         cp, "patch", source).values()
     if (z_offset is None) == (host is None):
-        raise ConfigError(
+        raise InvalidInputError(
             "[patch] needs exactly one of z_offset_m or host_thickness_m")
     make = PatchGeometry if host is None else PatchGeometry.on_host
     patch = _checked("patch", make, length, width, thickness,
@@ -237,8 +237,8 @@ def load_config(path) -> ProjectConfig:
     _checked("ppf", PPFConfig.from_hz, freq, zeta)
     an = _read(cp, "analysis", source)
     if an["n_patches"] != 1:
-        raise ConfigError("[analysis] n_patches: place picks one patch; "
-                          "scan.csv holds every candidate position")
+        raise InvalidInputError("[analysis] n_patches: place picks one patch; "
+                                "scan.csv holds every candidate position")
     weights = (dict.fromkeys(range(1, n_modes + 1), 1.0)
                if an["mode_weights"] is None else an["mode_weights"])
     _checked("analysis", _check_mode_weights, weights, n_modes)

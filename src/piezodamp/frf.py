@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
-from .errors import InvalidInputError, ParseError
+from .errors import InvalidInputError
 from .modal import TWO_PI, _read_csv, _refuse_rows
 from .ppf import (LinearSystem, ModalPlant, PPFConfig, close_loop,
                   plant_system, ppf_controller, stability)
@@ -110,7 +110,7 @@ def load_frf_csv(path) -> FRF:
     """
     def check_header(header):
         if header not in (["freq_hz", "real", "imag"], ["freq_hz", "mag", "phase_deg"]):
-            raise ParseError(
+            raise InvalidInputError(
                 f"{path}: header must be 'freq_hz,real,imag' or "
                 f"'freq_hz,mag,phase_deg', got {','.join(header)!r}")
 

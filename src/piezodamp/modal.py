@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalError, ParseError
+from .errors import InvalidInputError, NumericalError
 
 log = logging.getLogger(__name__)
 
@@ -484,7 +484,7 @@ def _read_csv(path, check_header, min_rows: int):
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             first = next(_content_lines(fh), None)
             if first is None:
-                raise ParseError(f"{path}: no header line found")
+                raise InvalidInputError(f"{path}: no header line found")
             header = [t.strip() for t in first[1].split(",")]
             check_header(header)
             try:
@@ -499,12 +499,12 @@ def _read_csv(path, check_header, min_rows: int):
             if data.shape[1] != len(header) or not np.all(np.isfinite(data)):
                 for n_rows, (line_no, line) in enumerate(
                         _lines_after_header(fh), start=1):
-                    error = error or _row_error(line_no, line, header)
+                    error = error or _row_error(path, line_no, line, header)
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: cannot decode byte "
-                         f"0x{exc.object[exc.start]:02x}") from None
+        raise InvalidInputError(f"{path}: not UTF-8 text: cannot decode byte "
+                                f"0x{exc.object[exc.start]:02x}") from None
     if n_rows < min_rows:
-        raise ParseError(f"{path}: needs at least {min_rows} data rows, found {n_rows}")
+        raise InvalidInputError(f"{path}: needs at least {min_rows} data rows, found {n_rows}")
     if error is not None:
         raise error
     return header, data
@@ -526,27 +526,27 @@ def _content_lines(fh):
             yield line_no, line
 
 
-def _row_error(line_no: int, line: str, header: list[str]):
-    """The ParseError of one data line, or None if the line is valid."""
+def _row_error(path, line_no: int, line: str, header: list[str]):
+    """The error of one data line of ``path``, or None if the line is valid."""
     fields = [t.strip() for t in line.split(",")]
     if len(fields) != len(header):
-        return ParseError(f"line {line_no}: expected {len(header)} fields, "
-                          f"found {len(fields)}")
+        return InvalidInputError(f"{path}: line {line_no}: expected "
+                                 f"{len(header)} fields, found {len(fields)}")
     for token, column in zip(fields, header):
-        where = f"line {line_no}, column {column!r}"
+        where = f"{path}: line {line_no}, column {column!r}"
         try:
             if not math.isfinite(_numeral(token)):
-                return ParseError(f"{where}: non-finite value {token!r}")
+                return InvalidInputError(f"{where}: non-finite value {token!r}")
         except ValueError:
-            return ParseError(f"{where}: cannot parse {token!r} as a number")
+            return InvalidInputError(f"{where}: cannot parse {token!r} as a number")
     return None
 
 
 def _refuse_rows(path, rule: str, violates) -> None:
-    """Raise the ParseError naming the first data row ``violates`` marks."""
+    """Raise the error naming the first data row ``violates`` marks."""
     rows = np.flatnonzero(violates)
     if rows.size:
-        raise ParseError(
+        raise InvalidInputError(
             f"{path}: {rule}; row {rows[0] + 1} of the data violates this")
 
 
@@ -562,13 +562,14 @@ def _numeral(text: str, kind=float):
 
 
 def _measured_lists(frequencies_hz, damping=None):
-    """Float lists of the frequencies (Hz), at least one, each positive,
-    finite and listed once, and of their damping ratios, one per frequency,
-    each in [0, 1)."""
+    """Float lists of the frequencies (Hz), at least one, each listed once and
+    under the angular-frequency rule of ``_check_frequencies``, and of their
+    damping ratios, one per frequency, each in [0, 1)."""
     freqs = [float(f) for f in np.atleast_1d(frequencies_hz)]
-    if not freqs or not all(0.0 < f < np.inf for f in freqs):
+    if not freqs:
         raise InvalidInputError(
             "frequencies_hz must list positive, finite frequencies")
+    _check_frequencies(TWO_PI * np.array(freqs), "frequencies_hz")
     for k, f in enumerate(freqs):
         if f in freqs[:k]:
             raise InvalidInputError(f"measured frequency {f:g} Hz is listed twice")
@@ -600,7 +601,7 @@ def load_measured_modes(path, frequencies_hz, damping=None,
 
     def check_header(header):
         if len(header) < 2 or header[0] != "x_m":
-            raise ParseError(
+            raise InvalidInputError(
                 f"{path}: header must be 'x_m,mode1,...', got {','.join(header)!r}")
         if len(header) - 1 != len(freqs):
             raise InvalidInputError(
@@ -612,7 +613,7 @@ def load_measured_modes(path, frequencies_hz, damping=None,
     shapes = data[:, 1:].T.copy()
 
     if x[0] != 0.0:
-        raise ParseError(f"{path}: first x_m value must be 0, got {x[0]:g}")
+        raise InvalidInputError(f"{path}: first x_m value must be 0, got {x[0]:g}")
     _refuse_rows(path, "x_m must be strictly increasing",
                  np.diff(x, prepend=-np.inf) <= 0.0)
 
@@ -626,7 +627,7 @@ def load_measured_modes(path, frequencies_hz, damping=None,
     for col in order:
         peak = np.max(np.abs(shapes[col]))
         if peak == 0.0:
-            raise ParseError(
+            raise InvalidInputError(
                 f"{path}: column {header[col + 1]!r} is identically zero")
         phi = shapes[col] / peak
         modes.append(Mode(TWO_PI * freqs[col], zetas[col], phi,

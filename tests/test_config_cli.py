@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 
 import piezodamp as pd
 from piezodamp import cli, config
-from piezodamp.errors import (ConfigError, InvalidInputError, NumericalError,
-                              PiezodampError)
+from piezodamp.errors import InvalidInputError, NumericalError
 
 SUBCOMMANDS = ["modes", "coupling", "place", "ppf-design", "sweep"]
 
@@ -54,7 +53,7 @@ def _minimal_ini(tmp_path, structure=None, extra=""):
 
 
 def test_config_errors(tmp_path, gripper_ini):
-    with pytest.raises(ConfigError, match="does not exist"):
+    with pytest.raises(InvalidInputError, match="does not exist"):
         pd.load_config(tmp_path / "missing.ini")
 
     path = _minimal_ini(tmp_path)
@@ -64,30 +63,30 @@ def test_config_errors(tmp_path, gripper_ini):
 
     bad = path.read_text().replace("[material]", "[materials]")
     path.write_text(bad)
-    with pytest.raises(ConfigError, match=r"\[material\]"):
+    with pytest.raises(InvalidInputError, match=r"\[material\]"):
         pd.load_config(path)
 
     path = _minimal_ini(tmp_path)
     path.write_text(path.read_text().replace("EI_Nm2 = 1.0", "EI_Nm2 = soft"))
-    with pytest.raises(ConfigError, match="not a number"):
+    with pytest.raises(InvalidInputError, match="not a number"):
         pd.load_config(path)
 
     path = _minimal_ini(tmp_path)
     path.write_text(path.read_text().replace(
         "host_thickness_m = 0.002",
         "host_thickness_m = 0.002\nz_offset_m = 0.001"))
-    with pytest.raises(ConfigError, match="exactly one"):
+    with pytest.raises(InvalidInputError, match="exactly one"):
         pd.load_config(path)
 
     path = _minimal_ini(tmp_path)
     path.write_text(path.read_text().replace("gains = 1, 2", "gains = 2, 1"))
-    with pytest.raises(ConfigError, match="increasing"):
+    with pytest.raises(InvalidInputError, match="increasing"):
         pd.load_config(path)
 
     path = _minimal_ini(tmp_path)
     path.write_text(path.read_text().replace("band_hz = 0.4, 0.7",
                                              "band_hz = 0.7"))
-    with pytest.raises(ConfigError, match="band_hz"):
+    with pytest.raises(InvalidInputError, match="band_hz"):
         pd.load_config(path)
 
     path = _minimal_ini(tmp_path, extra="\n[analysis2]\n")
@@ -96,19 +95,21 @@ def test_config_errors(tmp_path, gripper_ini):
     path = _minimal_ini(tmp_path)
     path.write_text(path.read_text().replace("source = analytic",
                                              "source = guesswork"))
-    with pytest.raises(ConfigError, match="source"):
+    with pytest.raises(InvalidInputError, match="source"):
         pd.load_config(path)
 
     # '%' is literal text, not configparser interpolation syntax.
     path = _minimal_ini(tmp_path)
     path.write_text(path.read_text().replace("length_m = 0.1",
                                              "length_m = 5%"))
-    with pytest.raises(ConfigError, match=r"\[patch\] length_m .* not a number"):
+    with pytest.raises(InvalidInputError,
+                       match=r"\[patch\] length_m .* not a number"):
         pd.load_config(path)
 
     path = _minimal_ini(tmp_path)
     path.write_bytes(path.read_bytes().replace(b"zeta = 0.3", b"zeta = 0.3\xe9"))
-    with pytest.raises(ConfigError, match="not UTF-8 text: cannot decode byte 0xe9"):
+    with pytest.raises(InvalidInputError,
+                       match="not UTF-8 text: cannot decode byte 0xe9"):
         pd.load_config(path)
 
     for old, new, where in [
@@ -119,7 +120,7 @@ def test_config_errors(tmp_path, gripper_ini):
              r"\[analysis\] mode_weights")]:
         path = _minimal_ini(tmp_path)
         path.write_text(path.read_text().replace(old, new))
-        with pytest.raises(ConfigError, match=where + ".* is not finite"):
+        with pytest.raises(InvalidInputError, match=where + ".* is not finite"):
             pd.load_config(path)
 
     for old, new, message in [
@@ -179,23 +180,24 @@ def test_config_errors(tmp_path, gripper_ini):
              r"\[ppf\]: filter damping must lie in \(0, 1\)")]:
         path = _minimal_ini(tmp_path)
         path.write_text(path.read_text().replace(old, new))
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(InvalidInputError, match=message):
             pd.load_config(path)
 
     (tmp_path / "shapes.csv").write_text("x_m,mode1\n")
     measured = "[structure]\nsource = measured\nfrequencies_hz = 10\n"
     path = _minimal_ini(tmp_path, structure=measured)
-    with pytest.raises(ConfigError, match="measured source needs shapes_file"):
+    with pytest.raises(InvalidInputError,
+                       match="measured source needs shapes_file"):
         pd.load_config(path)
     path = _minimal_ini(tmp_path, structure=measured
                         + "shapes_file = shapes.csv\nsmooth = maybe\n")
-    with pytest.raises(ConfigError,
+    with pytest.raises(InvalidInputError,
                        match=r"\[structure\] smooth = 'maybe' is not a boolean"):
         pd.load_config(path)
     path = _minimal_ini(tmp_path, structure=measured
                         + "shapes_file = shapes.csv\ndamping = 2.0\n")
-    with pytest.raises(ConfigError, match=r"^\[structure\]: damping ratios must "
-                                          r"lie in \[0, 1\)$"):
+    with pytest.raises(InvalidInputError, match=r"^\[structure\]: damping ratios "
+                                                r"must lie in \[0, 1\)$"):
         pd.load_config(path)
 
 
@@ -220,7 +222,7 @@ def test_every_number_reader_refuses_what_the_csv_reader_refuses(
              r"\[analysis\] mode_weights: entry .* must look like")]:
         path = _minimal_ini(tmp_path)
         path.write_text(path.read_text().replace(old, new), encoding="utf-8")
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(InvalidInputError, match=message):
             pd.load_config(path)
     analyze = ["analyze", "--frf", str(gripper_frf_csv), "--out-dir",
                str(tmp_path / "out"), "--quiet"]
@@ -255,7 +257,7 @@ def test_load_config_arbitrary_bytes_raise_only_toolkit_errors(
     path.write_bytes(data)
     try:
         pd.load_config(path)
-    except PiezodampError:
+    except InvalidInputError:
         pass
 
 
@@ -275,7 +277,7 @@ def test_load_config_with_one_arbitrary_value_raises_only_toolkit_errors(
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     try:
         pd.load_config(path)
-    except PiezodampError:
+    except InvalidInputError:
         pass
 
 
@@ -284,10 +286,10 @@ _GAINS = st.lists(st.floats() | st.sampled_from([0.0, 1.0, 1e308]),
 _WEIGHTS = st.none() | st.dictionaries(
     st.integers(-1, 4), st.floats() | st.sampled_from([0.0, -0.0, 1.0]),
     max_size=4)
-# Whole-number frequencies: values whose modes a ModalModel holds, so that
-# only the list rule can refuse them. A mode's own limit on an overflowing
-# omega squared is checked when a command builds the model. Damping ratios
-# are drawn on both sides of [0, 1), a rule of the lists.
+# Whole-number frequencies, with nan and inf: the list rule, which is the
+# angular-frequency rule of a ModalModel's modes, refuses the non-positive
+# and non-finite ones on load. Damping ratios are drawn on both sides of
+# [0, 1), a rule of the lists.
 _FREQUENCIES = st.lists(st.integers(-100, 1000).map(float)
                         | st.sampled_from([10.0, float("nan"), float("inf")]),
                         max_size=3)
@@ -353,8 +355,11 @@ def test_load_config_refuses_what_gain_sweep_and_find_peaks_refuse(
         "gains = 1, 2", "gains = " + ", ".join(map(repr, gains))))
     try:
         pd.load_config(path)
-    except ConfigError:
+    except InvalidInputError as exc:
         assert library_refuses
+        # The refusal names the INI section whose values the library refused.
+        assert str(exc).startswith(("[ppf]",) if part == "gains"
+                                   else ("[structure]", "[analysis]"))
     else:
         assert not library_refuses
 
@@ -363,11 +368,11 @@ def test_config_measured_missing_file(tmp_path):
     structure = ("[structure]\nsource = measured\nshapes_file = gone.csv\n"
                  "frequencies_hz = 10\n")
     path = _minimal_ini(tmp_path, structure=structure)
-    with pytest.raises(ConfigError, match="gone.csv"):
+    with pytest.raises(InvalidInputError, match="gone.csv"):
         pd.load_config(path)
     # A name longer than the file system allows is missing too, not an OSError.
     path = _minimal_ini(tmp_path, structure=structure.replace("gone", "g" * 300))
-    with pytest.raises(ConfigError, match="does not exist"):
+    with pytest.raises(InvalidInputError, match="does not exist"):
         pd.load_config(path)
 
 
@@ -379,7 +384,7 @@ def test_config_weights_parse(tmp_path):
     cfg = pd.load_config(path)
     assert cfg.mode_weights == {1: 2.0, 2: 0.0}
     path.write_text(text.replace("1:2.0, 2:0", "1=2.0"))
-    with pytest.raises(ConfigError, match="mode:weight"):
+    with pytest.raises(InvalidInputError, match="mode:weight"):
         pd.load_config(path)
 
 
@@ -448,7 +453,7 @@ def test_load_config_refuses_a_one_edit_misspelling_of_every_key(
     assume(edited not in {row[0].lower() for row in config._SCHEMA[section]})
     path = _ini_for(tmp_path_factory.mktemp("edit"), source, section,
                     f"{edited} = 1")
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(InvalidInputError) as err:
         pd.load_config(path)
     assert str(err.value).startswith(f"[{section}] unknown key {edited!r}")
 
@@ -467,7 +472,7 @@ def test_load_config_refuses_a_one_edit_misspelling_of_every_key(
 def test_load_config_refuses_a_key_of_another_source(tmp_path, source, line,
                                                      message):
     path = _ini_for(tmp_path, source, "structure", line)
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(InvalidInputError) as err:
         pd.load_config(path)
     assert str(err.value) == message
 
@@ -486,8 +491,8 @@ def test_cli_refuses_misspelt_keys_naming_the_first(gripper_ini, tmp_path,
         "error: [analysis] unknown key 'n_freqs'; did you mean 'n_freq'?\n")
     assert not out.exists()
     ini.write_text(gripper_ini.read_text() + "bogus_key = 3\n")
-    with pytest.raises(ConfigError, match=r"^\[analysis\] unknown key "
-                                          r"'bogus_key'$"):
+    with pytest.raises(InvalidInputError, match=r"^\[analysis\] unknown key "
+                                                r"'bogus_key'$"):
         pd.load_config(ini)
 
 
@@ -549,7 +554,7 @@ def test_model_size_errors_name_the_structure_section(tmp_path, capsys,
     # The builder checks these when a command builds the model, not on load.
     ini = _minimal_ini(tmp_path, structure=structure)
     cfg = pd.load_config(ini)
-    with pytest.raises(ConfigError, match=r"^\[structure\]: " + message):
+    with pytest.raises(InvalidInputError, match=r"^\[structure\]: " + message):
         cfg.build_model()
     assert _run(["modes", "--config", str(ini), "--out-dir",
                  str(tmp_path / "out"), "--quiet"]) == 1
@@ -774,7 +779,11 @@ def test_cli_names_a_repeated_measured_frequency(gripper_ini, tmp_path,
 
 @pytest.mark.parametrize("frequencies, message", [
     ("58.0, 58.0", "measured frequency 58 Hz is listed twice"),
-    ("58.0, -76.0", "frequencies_hz must list positive, finite frequencies"),
+    ("58.0, -76.0", "frequencies_hz must be positive and finite, with a "
+                    "nonzero, finite square"),
+    # The square of the angular frequency overflows.
+    ("58.0, 1e200", "frequencies_hz must be positive and finite, with a "
+                    "nonzero, finite square"),
     (",", "frequencies_hz must list positive, finite frequencies"),
     ("58.0", "damping must list one ratio per frequency: 2 for 1"),
 ])
@@ -792,6 +801,37 @@ def test_cli_analyze_refuses_measured_lists_on_load(
                  str(gripper_frf_csv), "--out-dir", str(tmp_path / "out"),
                  "--quiet"]) == 1
     assert capsys.readouterr().err == f"error: [structure]: {message}\n"
+
+
+@pytest.mark.parametrize("sub, name, line, text, message", [
+    ("modes", "gripper_shapes.csv", 3, "x,mode1,mode2",
+     "header must be 'x_m,mode1,...', got 'x,mode1,mode2'"),
+    ("modes", "gripper_shapes.csv", 3, "x_m,mode1",
+     "1 shape columns but 2 frequencies given"),
+    ("modes", "gripper_shapes.csv", 5, "0.01,0.0010861511",
+     "line 5: expected 3 fields, found 2"),
+    ("modes", "gripper_shapes.csv", 5, "0.01,abc,-0.006611454",
+     "line 5, column 'mode1': cannot parse 'abc' as a number"),
+    ("analyze", "gripper_frf.csv", 3, "50,x,-2.66e-07",
+     "line 3, column 'real': cannot parse 'x' as a number"),
+])
+def test_cli_names_the_source_of_each_input_error(
+        gripper_ini, tmp_path, capsys, sub, name, line, text, message):
+    # One error line names the file; a shapes file read at model build also
+    # names the INI section that points to it.
+    project = tmp_path / "project"
+    shutil.copytree(gripper_ini.parent, project)
+    path = project / name
+    lines = path.read_text().splitlines()
+    lines[line - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+    argv = ["--config", str(project / gripper_ini.name)]
+    prefix = "[structure]: "
+    if sub == "analyze":
+        argv, prefix = ["--frf", str(path), "--band", "65,90"], ""
+    assert _run([sub, *argv, "--out-dir", str(tmp_path / "out"),
+                 "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: {prefix}{path}: {message}\n"
 
 
 def test_cli_analyze_refuses_a_damping_ratio_outside_0_1_on_load(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import piezodamp as pd
 from piezodamp import config, modal
 from piezodamp.cli import _BLOCK, _write_csv, main
-from piezodamp.errors import ConfigError, PiezodampError, ParseError
+from piezodamp.errors import InvalidInputError
 from piezodamp.modal import _read_csv
 
 HEADERS = ["freq_hz,real,imag", "freq_hz,mag,phase_deg", "x_m,mode1,mode2",
@@ -19,7 +19,7 @@ HEADERS = ["freq_hz,real,imag", "freq_hz,mag,phase_deg", "x_m,mode1,mode2",
 
 def _check_header(header):
     if "bad" in header:
-        raise ParseError(f"bad header {header!r}")
+        raise InvalidInputError(f"bad header {header!r}")
 
 
 def _row_walk(path, check_header, min_rows, strict):
@@ -39,29 +39,30 @@ def _row_walk(path, check_header, min_rows, strict):
                 continue
             rows.append((line_no, fields))
     if header is None:
-        raise ParseError(f"{path}: no header line found")
+        raise InvalidInputError(f"{path}: no header line found")
     check_header(header)
     if len(rows) < min_rows:
-        raise ParseError(
+        raise InvalidInputError(
             f"{path}: needs at least {min_rows} data rows, found {len(rows)}")
     data = np.empty((len(rows), len(header)))
     for r, (line_no, fields) in enumerate(rows):
         if len(fields) != len(header):
-            raise ParseError(f"line {line_no}: expected {len(header)} "
-                             f"fields, found {len(fields)}")
+            raise InvalidInputError(f"{path}: line {line_no}: expected "
+                                    f"{len(header)} fields, found "
+                                    f"{len(fields)}")
         for c, token in enumerate(fields):
             try:
                 if strict and ("_" in token or not token.isascii()):
                     raise ValueError
                 v = float(token)
             except ValueError:
-                raise ParseError(
-                    f"line {line_no}, column {header[c]!r}: cannot parse "
-                    f"{token!r} as a number") from None
+                raise InvalidInputError(
+                    f"{path}: line {line_no}, column {header[c]!r}: "
+                    f"cannot parse {token!r} as a number") from None
             if not math.isfinite(v):
-                raise ParseError(
-                    f"line {line_no}, column {header[c]!r}: non-finite "
-                    f"value {token!r}")
+                raise InvalidInputError(
+                    f"{path}: line {line_no}, column {header[c]!r}: "
+                    f"non-finite value {token!r}")
             data[r, c] = v
     return header, data
 
@@ -69,7 +70,7 @@ def _row_walk(path, check_header, min_rows, strict):
 def _outcome(fn, *args):
     try:
         header, data = fn(*args)
-    except ParseError as exc:
+    except InvalidInputError as exc:
         return ("error", str(exc))
     return ("ok", header, data.shape, data.tobytes())
 
@@ -115,7 +116,8 @@ def test_reader_matches_row_walk(tmp_path_factory, content, min_rows):
         # The one allowed difference: a numeral float() takes and np.loadtxt
         # rejects is an error that names its line.
         assert new[0] == "error"
-        assert new[1].startswith("line ") and "cannot parse" in new[1]
+        assert new[1].startswith(f"{path}: line ")
+        assert "cannot parse" in new[1]
         token = new[1].split("cannot parse ")[1][1:-len("' as a number")]
         assert "_" in token or not token.isascii()
 
@@ -145,7 +147,7 @@ def test_ini_numbers_follow_the_csv_numeral_rule(tmp_path_factory, token):
     csv = _outcome(_read_csv, path, _check_header, 1)
     try:
         ini = ("ok", np.array([[config._float(token, "[s] v")]]).tobytes())
-    except ConfigError:
+    except InvalidInputError:
         ini = ("error",)
     assert ini[0] == csv[0]
     assert ini[1:] == csv[3:]
@@ -177,7 +179,7 @@ def test_reader_matches_row_walk_past_the_first_chunk(tmp_path, monkeypatch,
     if inserted in (None, "# note", "   "):
         assert new[0] == "ok" and new[2] == (60_000, 3)
     else:
-        assert new[1].startswith("line 50002")
+        assert new[1].startswith(f"{path}: line 50002")
     # One C pass over the open file; the filtered pass only if it refuses a
     # line (nan parses, and the walk names it).
     assert sources == ["TextIOWrapper"] + ["generator"] * refused
@@ -238,7 +240,7 @@ def test_readers_raise_only_toolkit_errors(tmp_path_factory, prefix, body,
                  lambda p: pd.load_measured_modes(p, [1.0, 2.0], smooth=True)):
         try:
             load(path)
-        except PiezodampError:
+        except InvalidInputError:
             pass
 
 
@@ -247,12 +249,12 @@ def test_non_utf8_bytes_are_a_parse_error(tmp_path, prefix):
     frf = tmp_path / "bad_frf.csv"
     frf.write_bytes(b"freq_hz,real,imag\n1,1,1\n2,1,1\n"
                     + prefix.encode() + b"3,\xff,2\n")
-    with pytest.raises(ParseError, match=r"bad_frf\.csv.*byte 0xff"):
+    with pytest.raises(InvalidInputError, match=r"bad_frf\.csv.*byte 0xff"):
         pd.load_frf_csv(frf)
     shapes = tmp_path / "bad_shapes.csv"
     shapes.write_bytes(b"x_m,mode1\n" + b"0,0\n" * 8 + prefix.encode()
                        + b"\xe2\x82\n")
-    with pytest.raises(ParseError, match=r"bad_shapes\.csv.*byte 0xe2"):
+    with pytest.raises(InvalidInputError, match=r"bad_shapes\.csv.*byte 0xe2"):
         pd.load_measured_modes(shapes, [1.0])
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.signal import find_peaks as scipy_find_peaks
 
 import piezodamp as pd
-from piezodamp.errors import InvalidInputError, ParseError
+from piezodamp.errors import InvalidInputError
 from piezodamp.frf import _db, _prominent_peaks
 
 
@@ -150,38 +150,38 @@ def test_load_polar_format_refuses_a_magnitude_in_db(tmp_path):
         for freq, v in zip(frf.freqs_hz, frf.values):
             fh.write(f"{freq:.9g},{20.0 * np.log10(abs(v)):.9g},"
                      f"{np.degrees(np.angle(v)):.9g}\n")
-    with pytest.raises(ParseError, match=re.escape(
+    with pytest.raises(InvalidInputError, match=re.escape(
             f"{f}: mag must be a linear magnitude >= 0, not dB; row 1 of the "
             "data violates this")):
         pd.load_frf_csv(f)
     f.write_text("# comment line\nfreq_hz,mag,phase_deg\n"
                  "10,2.0,0\n20,0,-90\n30,-0.5,180\n")
-    with pytest.raises(ParseError, match="row 3 of the data"):
+    with pytest.raises(InvalidInputError, match="row 3 of the data"):
         pd.load_frf_csv(f)
 
 
 def test_load_frf_errors(tmp_path):
     f = tmp_path / "bad.csv"
     f.write_text("freq_hz,magnitude\n1,2\n2,3\n")
-    with pytest.raises(ParseError, match="header"):
+    with pytest.raises(InvalidInputError, match="header"):
         pd.load_frf_csv(f)
     f.write_text("freq_hz,real,imag\n1,2,3\n")
-    with pytest.raises(ParseError, match="at least 2"):
+    with pytest.raises(InvalidInputError, match="at least 2"):
         pd.load_frf_csv(f)
     f.write_text("freq_hz,real,imag\n1,2,3\n2,x,0\n")
-    with pytest.raises(ParseError, match=r"line 3.*real"):
+    with pytest.raises(InvalidInputError, match=r"line 3.*real"):
         pd.load_frf_csv(f)
     f.write_text("freq_hz,real,imag\n1,2,3\n2,3\n")
-    with pytest.raises(ParseError, match="line 3"):
+    with pytest.raises(InvalidInputError, match="line 3"):
         pd.load_frf_csv(f)
     f.write_text("freq_hz,real,imag\n2,1,0\n1,1,0\n")
-    with pytest.raises(ParseError, match="increasing"):
+    with pytest.raises(InvalidInputError, match="increasing"):
         pd.load_frf_csv(f)
     f.write_text("freq_hz,real,imag\n1,nan,0\n2,1,0\n")
-    with pytest.raises(ParseError, match="non-finite"):
+    with pytest.raises(InvalidInputError, match="non-finite"):
         pd.load_frf_csv(f)
     f.write_text("freq_hz,real,imag\n1,1_0,0\n2,1,0\n")
-    with pytest.raises(ParseError, match=r"line 2, column 'real'.*'1_0'"):
+    with pytest.raises(InvalidInputError, match=r"line 2, column 'real'.*'1_0'"):
         pd.load_frf_csv(f)
 
 
@@ -193,7 +193,7 @@ def test_load_frf_names_the_first_row_not_above_the_last(tmp_path, rows, bad):
     # lines only.
     f = tmp_path / "dec.csv"
     f.write_text("freq_hz,real,imag\n" + rows)
-    with pytest.raises(ParseError, match=re.escape(
+    with pytest.raises(InvalidInputError, match=re.escape(
             f"{f}: freq_hz must be positive and strictly increasing; row "
             f"{bad} of the data violates this")):
         pd.load_frf_csv(f)

@@ -14,7 +14,7 @@ from scipy.integrate import simpson
 from scipy.optimize import brentq
 
 import piezodamp as pd
-from piezodamp.errors import InvalidInputError, ParseError
+from piezodamp.errors import InvalidInputError
 
 # Roots of cosh(x) cos(x) = -1 to full double precision.
 KNOWN_ROOTS = [1.8751040687119612, 4.694091132974175, 7.854757438237613,
@@ -497,42 +497,43 @@ def test_load_measured_parse_errors(tmp_path):
     assert model.n_modes == 1
 
     f.write_text("position,mode1\n0,0\n")
-    with pytest.raises(ParseError, match="header"):
+    with pytest.raises(InvalidInputError, match="header"):
         pd.load_measured_modes(f, [3.0])
 
     f.write_text("x_m,mode1\n0,0\n0.1,1\n0.2,oops\n0.3,1\n0.4,1\n"
                  "0.5,1\n0.6,1\n0.7,1\n")
-    with pytest.raises(ParseError, match=r"line 4.*mode1"):
+    with pytest.raises(InvalidInputError, match=r"line 4.*mode1"):
         pd.load_measured_modes(f, [3.0])
 
     f.write_text("x_m,mode1\n0,0\n0.1,1\n0.2,1\n")
-    with pytest.raises(ParseError, match="at least 8"):
+    with pytest.raises(InvalidInputError, match="at least 8"):
         pd.load_measured_modes(f, [3.0])
 
     f.write_text("x_m,mode1\n" + "\n".join(
         f"{v / 10},1,9" for v in range(8)) + "\n")
-    with pytest.raises(ParseError, match="expected 2 fields"):
+    with pytest.raises(InvalidInputError, match="expected 2 fields"):
         pd.load_measured_modes(f, [3.0])
 
     f.write_text("x_m,mode1\n" + "\n".join(
         f"{(7 - v) / 10},1" for v in range(8)) + "\n")
-    with pytest.raises(ParseError, match="increasing|must be 0"):
+    with pytest.raises(InvalidInputError, match="increasing|must be 0"):
         pd.load_measured_modes(f, [3.0])
 
     f.write_text("x_m,mode1\n" + "\n".join(
         f"{x},1" for x in (0, 0.1, 0.2, 0.2, 0.4, 0.5, 0.6, 0.7)) + "\n")
-    with pytest.raises(ParseError, match="x_m must be strictly increasing; "
-                                         "row 4 of the data violates this"):
+    with pytest.raises(InvalidInputError,
+                       match="x_m must be strictly increasing; "
+                             "row 4 of the data violates this"):
         pd.load_measured_modes(f, [3.0])
 
     f.write_text("x_m,mode1\n" + "\n".join(
         f"{(v + 1) / 10},1" for v in range(8)) + "\n")
-    with pytest.raises(ParseError, match="must be 0"):
+    with pytest.raises(InvalidInputError, match="must be 0"):
         pd.load_measured_modes(f, [3.0])
 
     f.write_text("x_m,mode1,mode2\n" + "\n".join(
         f"{v / 10},{v},0" for v in range(8)) + "\n")
-    with pytest.raises(ParseError, match="mode2.*zero"):
+    with pytest.raises(InvalidInputError, match="mode2.*zero"):
         pd.load_measured_modes(f, [3.0, 5.0])
 
 
@@ -545,11 +546,18 @@ def test_load_measured_argument_errors(tmp_path):
     with pytest.raises(InvalidInputError, match="^damping must list one ratio "
                                                 "per frequency: 2 for 1$"):
         pd.load_measured_modes(f, [3.0], damping=[0.01, 0.02])
-    # The list rule runs before the file is read.
-    for freqs in ([-3.0], [], [0.0, 3.0], [np.nan, 76.0], [58.0, np.inf]):
+    # The list rules run before the file is read: at least one frequency,
+    # each under the angular-frequency rule.
+    with pytest.raises(
+            InvalidInputError,
+            match="^frequencies_hz must list positive, finite frequencies$"):
+        pd.load_measured_modes(tmp_path / "absent.csv", [])
+    for freqs in ([-3.0], [0.0, 3.0], [np.nan, 76.0], [58.0, np.inf],
+                  [58.0, 1e200]):
         with pytest.raises(
                 InvalidInputError,
-                match="^frequencies_hz must list positive, finite frequencies$"):
+                match="^frequencies_hz must be positive and finite, with a "
+                      "nonzero, finite square$"):
             pd.load_measured_modes(tmp_path / "absent.csv", freqs)
 
 

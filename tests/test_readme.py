@@ -42,7 +42,7 @@ def test_readme_public_api_names_each_error_type():
     section = README.read_text().split("## Public API", 1)[1]
     section = section.split("\n## ", 1)[0]
     errors = [name for name in pd.__all__ if name.endswith("Error")]
-    assert len(errors) == 5
+    assert len(errors) == 3
     assert all(f"- `{name}`: " in section for name in errors)
 
 
