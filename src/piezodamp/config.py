@@ -46,7 +46,7 @@ def _reader(parse, noun: str):
     def read(text: str, name: str):
         try:
             value = parse(text)
-        except (KeyError, ValueError):
+        except ValueError:
             raise InvalidInputError(f"{name} = {text!r} is not {noun}") from None
         for v in value if isinstance(value, list) else [value]:
             if isinstance(v, float) and not math.isfinite(v):
@@ -55,12 +55,16 @@ def _reader(parse, noun: str):
     return read
 
 
-_text, _float = _reader(str, "text"), _reader(_numeral, "a number")
+def _text(text: str, name: str) -> str:
+    if not text:
+        raise InvalidInputError(f"{name} is blank")
+    return text
+
+
+_float = _reader(_numeral, "a number")
 _int = _reader(lambda text: _numeral(text, int), "an integer")
 _floats = _reader(lambda text: [_numeral(t) for t in text.split(",")
                                 if t.strip()], "a comma list of numbers")
-_bool = _reader(lambda text: configparser.ConfigParser.BOOLEAN_STATES[
-    text.lower()], "a boolean")
 
 
 def _weights(text: str, name: str) -> dict[int, float]:
@@ -105,10 +109,9 @@ _SCHEMA = {
         ("n_grid", (SOURCE_ANALYTIC,), _int, DEFAULT_N_GRID),
         ("n_elements", (SOURCE_FE,), _int, 64),
         ("damping", BEAM, _float, DEFAULT_DAMPING),
-        ("shapes_file", MEASURED, _text, None),
+        ("shapes_file", MEASURED, _text, REQUIRED),
         ("frequencies_hz", MEASURED, _floats, REQUIRED),
-        ("damping", MEASURED, _floats, None),
-        ("smooth", MEASURED, _bool, False)],
+        ("damping", MEASURED, _floats, None)],
     "material": [(key, ALL, _float, REQUIRED)
                  for key in ("d31_CpN", "s11E_perPa", "epsT_FpM")],
     "patch": [("length_m", ALL, _float, REQUIRED),
@@ -205,8 +208,6 @@ def load_config(path) -> ProjectConfig:
                                 f"{', '.join(_BUILDERS)}; got {source!r}")
     st = _read(cp, "structure", source)
     if source == SOURCE_MEASURED:
-        if st["shapes_file"] is None:
-            raise InvalidInputError("[structure] measured source needs shapes_file")
         shapes_file = path.parent / st["shapes_file"]
         # os.path.isfile gives False, not an OSError, for a name the file
         # system rejects (too long, for one).
@@ -215,7 +216,7 @@ def load_config(path) -> ProjectConfig:
         freqs, damping = st["frequencies_hz"], st["damping"]
         n_modes = len(_checked("structure", _measured_lists, freqs, damping)[0])
         structure = {"path": shapes_file, "frequencies_hz": freqs,
-                     "damping": damping, "smooth": st["smooth"]}
+                     "damping": damping}
     else:
         props = _checked("structure", BeamProperties, *(st[k] for k in (
             "length_m", "EI_Nm2", "mass_per_length_kgpm", "damping")))

@@ -583,8 +583,7 @@ def _measured_lists(frequencies_hz, damping=None):
     return freqs, zetas
 
 
-def load_measured_modes(path, frequencies_hz, damping=None,
-                        smooth: bool = False) -> ModalModel:
+def load_measured_modes(path, frequencies_hz, damping=None) -> ModalModel:
     """Read mode shapes measured along a line from a CSV file.
 
     The file holds a header ``x_m,mode1,mode2,...`` followed by at least 8
@@ -593,9 +592,8 @@ def load_measured_modes(path, frequencies_hz, damping=None,
     ``damping`` optional per-mode ratios (default 0.005); both are checked
     before the file is read. Shapes are scaled to unit peak and modal mass is
     pinned to 1, so coupling factors computed from this model are comparative
-    only. ``smooth`` applies a 3-point moving average before normalization.
-    Slopes are finite differences of the normalized shapes: central in the
-    interior and one-sided second order at the ends, exact for quadratics.
+    only. Slopes are finite differences of the normalized shapes: central in
+    the interior and one-sided second order at the ends, exact for quadratics.
     """
     freqs, zetas = _measured_lists(frequencies_hz, damping)
 
@@ -610,17 +608,12 @@ def load_measured_modes(path, frequencies_hz, damping=None,
 
     header, data = _read_csv(path, check_header, min_rows=8)
     x = data[:, 0].copy()
-    shapes = data[:, 1:].T.copy()
+    shapes = data[:, 1:].T
 
     if x[0] != 0.0:
         raise InvalidInputError(f"{path}: first x_m value must be 0, got {x[0]:g}")
     _refuse_rows(path, "x_m must be strictly increasing",
                  np.diff(x, prepend=-np.inf) <= 0.0)
-
-    if smooth:
-        log.info("applying 3-point moving average to %d measured shapes", len(shapes))
-        inner = (shapes[:, :-2] + shapes[:, 1:-1] + shapes[:, 2:]) / 3.0
-        shapes[:, 1:-1] = inner
 
     order = np.argsort(freqs, kind="stable")
     modes = []

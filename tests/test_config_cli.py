@@ -187,12 +187,16 @@ def test_config_errors(tmp_path, gripper_ini):
     measured = "[structure]\nsource = measured\nfrequencies_hz = 10\n"
     path = _minimal_ini(tmp_path, structure=measured)
     with pytest.raises(InvalidInputError,
-                       match="measured source needs shapes_file"):
+                       match=r"^\[structure\] is missing key 'shapes_file'$"):
+        pd.load_config(path)
+    path = _minimal_ini(tmp_path, structure=measured + "shapes_file =\n")
+    with pytest.raises(InvalidInputError,
+                       match=r"^\[structure\] shapes_file is blank$"):
         pd.load_config(path)
     path = _minimal_ini(tmp_path, structure=measured
-                        + "shapes_file = shapes.csv\nsmooth = maybe\n")
-    with pytest.raises(InvalidInputError,
-                       match=r"\[structure\] smooth = 'maybe' is not a boolean"):
+                        + "shapes_file = shapes.csv\ndamping = low\n")
+    with pytest.raises(InvalidInputError, match=r"^\[structure\] damping = "
+                       r"'low' is not a comma list of numbers$"):
         pd.load_config(path)
     path = _minimal_ini(tmp_path, structure=measured
                         + "shapes_file = shapes.csv\ndamping = 2.0\n")
@@ -848,6 +852,25 @@ def test_cli_analyze_refuses_a_damping_ratio_outside_0_1_on_load(
                             str(tmp_path / "out"), "--quiet"]) == 1
         assert capsys.readouterr().err == (
             "error: [structure]: damping ratios must lie in [0, 1)\n")
+
+
+@pytest.mark.parametrize("value", ["true", "false"])
+def test_cli_refuses_smooth_as_an_unknown_key(gripper_ini, tmp_path, capsys,
+                                              value):
+    # Measured shapes are used as given. Ignoring the key would let a
+    # project that set it print other numbers without notice.
+    shutil.copy(gripper_ini.parent / "gripper_shapes.csv", tmp_path)
+    ini = tmp_path / "smooth.ini"
+    text = gripper_ini.read_text()
+    assert "damping = 0.01, 0.01\n" in text
+    ini.write_text(text.replace("damping = 0.01, 0.01\n",
+                                f"damping = 0.01, 0.01\nsmooth = {value}\n"))
+    out = tmp_path / "out"
+    assert _run(["modes", "--config", str(ini), "--out-dir", str(out),
+                 "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        "error: [structure] unknown key 'smooth'\n")
+    assert not out.exists()
 
 
 def _src_env(**extra):

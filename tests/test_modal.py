@@ -473,21 +473,6 @@ def test_load_measured_scale_invariance(tmp_path, unit_model):
                                rtol=1e-14, atol=1e-16)
 
 
-def test_load_measured_smooth(tmp_path):
-    x = np.linspace(0.0, 1.0, 11)
-    col = x.copy()
-    col[5] += 0.3  # one noisy sample
-    f = tmp_path / "s.csv"
-    _write_shapes(f, x, [col], header="x_m,mode1")
-    rough = pd.load_measured_modes(f, [5.0])
-    smooth = pd.load_measured_modes(f, [5.0], smooth=True)
-    expected = (col[4] + col[5] + col[6]) / 3.0
-    inner = (col[:-2] + col[1:-1] + col[2:]) / 3.0
-    peak = max(np.max(np.abs(inner)), abs(col[0]), abs(col[-1]))
-    assert smooth.modes[0].phi[5] == pytest.approx(expected / peak, rel=1e-12)
-    assert not np.allclose(rough.modes[0].phi, smooth.modes[0].phi)
-
-
 def test_load_measured_parse_errors(tmp_path):
     f = tmp_path / "bad.csv"
 

@@ -1,10 +1,14 @@
 """Source hygiene: a deletion leaves no unused import and no orphaned
-private module-level name behind in the package."""
+private module-level name behind in the package, and no model-builder
+option is left that only the API can set."""
 
 import ast
+import inspect
+import re
 from pathlib import Path
 
 import piezodamp as pd
+from piezodamp import config
 
 PACKAGE = Path(pd.__file__).resolve().parent
 MODULES = {path.name: ast.parse(path.read_text())
@@ -64,3 +68,21 @@ def test_every_private_module_name_is_referenced():
     orphans = {name: sorted(_private_definitions(tree) - referenced)
                for name, tree in MODULES.items()}
     assert {k: v for k, v in orphans.items() if v} == {}
+
+
+def test_every_model_builder_option_is_set_from_the_ini(gripper_ini,
+                                                         tmp_path):
+    # An option the INI cannot set is one no project varies.
+    text = gripper_ini.read_text()
+    beam = ("length_m = 0.4\nEI_Nm2 = 20.0\nmass_per_length_kgpm = 1.0\n"
+            "n_modes = 2\n")
+    for source, make in config._BUILDERS.items():
+        ini = gripper_ini
+        if source != config.SOURCE_MEASURED:
+            ini = tmp_path / f"{source}.ini"
+            ini.write_text(re.sub(r"\[structure\][^[]*", "[structure]\n"
+                                  f"source = {source}\n{beam}\n", text))
+        cfg = pd.load_config(ini)
+        assert cfg.source == source
+        assert (set(cfg.structure)
+                == set(inspect.signature(make).parameters)), source
